@@ -92,8 +92,14 @@ fn bench_revalidate_after_insert(c: &mut Criterion) {
             b.iter(|| {
                 let mut e = engine.borrow_mut();
                 e.insert_packed(r, &fresh_row(next.replace(next.get() + 1)));
-                let got =
-                    check_termination_live(&schema, &tgds, &e, FindShapesMode::InMemory, 1, &cache);
+                let got = check_termination_live(
+                    &schema,
+                    &tgds,
+                    &*e,
+                    FindShapesMode::InMemory,
+                    1,
+                    &cache,
+                );
                 assert!(got.hit, "shape-preserving insert must revalidate");
                 got.report.verdict
             })

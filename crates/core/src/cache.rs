@@ -19,14 +19,13 @@
 //! mutex, so a serving layer can probe concurrently; every shard enforces
 //! its slice of the LRU bound with timestamp eviction. The whole cache
 //! serialises to a small binary blob (`SOCTVC1\0` framing, in the style
-//! of `soct_storage::persist`) so a service restart starts warm.
+//! of `soct_storage::persist`) so a service restart starts warm; a
+//! [`CacheFile`] keeps such a file current by appending one record per new
+//! verdict after the snapshot, and the loader reads them back in order.
 
 use crate::find_shapes::FindShapesMode;
-use crate::oracle::{
-    check_termination_engine, check_termination_threads, TerminationReport, Verdict,
-};
+use crate::oracle::{check_termination_threads, DbView, TerminationReport, Verdict};
 use crate::timings::CacheTimings;
-use bytes::{Buf, BufMut, BytesMut};
 use soct_model::fingerprint::{
     fingerprint_instance_shapes, fingerprint_predicates, fingerprint_ruleset, fingerprint_shapes,
     Fingerprint,
@@ -34,8 +33,10 @@ use soct_model::fingerprint::{
 use soct_model::{FxHashMap, Instance, Schema, Tgd, TgdClass};
 use soct_obs::Phases;
 use soct_storage::{StorageEngine, TupleSource};
-use std::io;
-use std::path::Path;
+use std::fs::{File, OpenOptions};
+use std::io::{self, Write as _};
+use std::ops::Deref;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -239,9 +240,10 @@ impl VerdictCache {
         }
     }
 
-    /// Serialises all entries (`SOCTVC1\0` magic, little-endian u32 count,
-    /// then 34-byte records: rules fp, db fp, verdict, class). Entries are
-    /// sorted by key, so equal caches serialise to equal bytes.
+    /// Serialises all entries as a snapshot (`SOCTVC1\0` magic,
+    /// little-endian u32 count, then one 34-byte record per entry: rules
+    /// fp, db fp, verdict, class). Entries are sorted by key, so equal
+    /// caches serialise to equal bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut entries: Vec<(CacheKey, Entry)> = self
             .shards
@@ -255,53 +257,169 @@ impl VerdictCache {
             })
             .collect();
         entries.sort_unstable_by_key(|(k, _)| *k);
-        let mut out = BytesMut::with_capacity(12 + entries.len() * 34);
-        out.put_slice(MAGIC);
-        out.put_u32_le(entries.len() as u32);
+        let mut out = Vec::with_capacity(HEADER_BYTES + entries.len() * RECORD_BYTES);
+        out.extend_from_slice(MAGIC);
+        out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
         for (k, e) in entries {
-            out.put_slice(&k.rules.to_le_bytes());
-            out.put_slice(&k.db.to_le_bytes());
-            out.put_u8(verdict_code(e.verdict));
-            out.put_u8(class_code(e.class));
+            out.extend_from_slice(&Self::record(&k, e.verdict, e.class));
         }
-        out.to_vec()
+        out
     }
 
-    /// Loads entries serialised by [`VerdictCache::to_bytes`] into this
-    /// cache (on top of whatever it already holds).
-    pub fn load_bytes(&self, mut data: &[u8]) -> io::Result<()> {
+    /// One entry as the file stores it: rules fp, db fp (16 bytes each,
+    /// little-endian), verdict code, class code. A snapshot is a header
+    /// followed by these; a [`CacheFile`] appends more of them after it.
+    fn record(key: &CacheKey, verdict: Verdict, class: TgdClass) -> [u8; RECORD_BYTES] {
+        let mut rec = [0u8; RECORD_BYTES];
+        rec[..16].copy_from_slice(&key.rules.to_le_bytes());
+        rec[16..32].copy_from_slice(&key.db.to_le_bytes());
+        rec[32] = verdict_code(verdict);
+        rec[33] = class_code(class);
+        rec
+    }
+
+    /// Loads a cache file's entries into this cache (on top of whatever
+    /// it already holds): every whole record after the header, in file
+    /// order, so records appended after the snapshot refresh it. A torn
+    /// partial record at the end (a crash mid-append) is dropped, not an
+    /// error; a bad header or an out-of-range code is.
+    fn load_bytes(&self, data: &[u8]) -> io::Result<LoadedFile> {
         let err = |m: &str| io::Error::new(io::ErrorKind::InvalidData, m.to_string());
-        if data.len() < 12 || &data[..8] != MAGIC {
+        if data.len() < HEADER_BYTES || &data[..8] != MAGIC {
             return Err(err("bad verdict-cache magic"));
         }
-        data.advance(8);
-        let count = data.get_u32_le() as usize;
-        if data.remaining() < count * 34 {
-            return Err(err("truncated verdict-cache entries"));
+        let count = u32::from_le_bytes(data[8..12].try_into().expect("4 bytes")) as usize;
+        let records = data[HEADER_BYTES..].chunks_exact(RECORD_BYTES);
+        let torn_bytes = records.remainder().len();
+        let whole = records.len();
+        for rec in records {
+            let fp = |r: &[u8]| Fingerprint::from_le_bytes(r.try_into().expect("16 bytes"));
+            let key = CacheKey {
+                rules: fp(&rec[..16]),
+                db: fp(&rec[16..32]),
+            };
+            let verdict = decode_verdict(rec[32]).ok_or_else(|| err("bad verdict code"))?;
+            let class = decode_class(rec[33]).ok_or_else(|| err("bad class code"))?;
+            self.insert(key, verdict, class);
         }
-        for _ in 0..count {
-            let mut fp = [0u8; 16];
-            fp.copy_from_slice(&data[..16]);
-            data.advance(16);
-            let rules = Fingerprint::from_le_bytes(fp);
-            fp.copy_from_slice(&data[..16]);
-            data.advance(16);
-            let db = Fingerprint::from_le_bytes(fp);
-            let verdict = decode_verdict(data.get_u8()).ok_or_else(|| err("bad verdict code"))?;
-            let class = decode_class(data.get_u8()).ok_or_else(|| err("bad class code"))?;
-            self.insert(CacheKey { rules, db }, verdict, class);
+        Ok(LoadedFile {
+            snapshot: whole.min(count),
+            appended: whole.saturating_sub(count),
+            torn_bytes,
+        })
+    }
+}
+
+/// Bytes before the first record of a cache file: magic and the
+/// snapshot's entry count.
+const HEADER_BYTES: usize = 12;
+
+/// Bytes of one cache-file record (see [`VerdictCache::record`]).
+const RECORD_BYTES: usize = 34;
+
+/// The layout [`VerdictCache::load_bytes`] found in a cache file.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct LoadedFile {
+    /// Whole records of the snapshot (at most the header's count).
+    snapshot: usize,
+    /// Whole records appended after the snapshot.
+    appended: usize,
+    /// Bytes of a torn partial record at the end, dropped by the load.
+    torn_bytes: usize,
+}
+
+/// A verdict cache's file, kept current one verdict at a time: a sorted
+/// snapshot ([`VerdictCache::to_bytes`]) followed by the records of the
+/// verdicts cached since. Each [`CacheFile::add`] appends one record; the
+/// snapshot is rewritten only once the appended records would outnumber
+/// it, so a verdict costs O(1) file bytes amortised (snapshots land at 1,
+/// 3, 7, 15, … entries) and the file stays within twice its snapshot's
+/// size. A reader that stops after the header's count of records — every
+/// version before appends existed — sees the snapshot alone.
+#[derive(Debug)]
+pub struct CacheFile {
+    path: PathBuf,
+    /// Records of the last snapshot.
+    snapshot: usize,
+    /// Records appended since.
+    appended: usize,
+    /// Open while the file ends on a record boundary; `None` makes the
+    /// next write a snapshot.
+    append: Option<File>,
+}
+
+impl CacheFile {
+    /// Loads the file at `path`, if there is one, into `cache`. A torn
+    /// partial record at the end (a crash mid-append) is dropped, and the
+    /// next write is then a snapshot rather than an append after it; a bad
+    /// header or an out-of-range code is an error.
+    pub fn open(path: impl Into<PathBuf>, cache: &VerdictCache) -> io::Result<Self> {
+        let mut file = CacheFile {
+            path: path.into(),
+            snapshot: 0,
+            appended: 0,
+            append: None,
+        };
+        let bytes = match std::fs::read(&file.path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(file),
+            Err(e) => return Err(e),
+        };
+        let loaded = cache.load_bytes(&bytes)?;
+        file.snapshot = loaded.snapshot;
+        file.appended = loaded.appended;
+        if loaded.torn_bytes == 0 {
+            // A file that cannot be opened for writing gets a snapshot on
+            // the first write instead, which reports the error.
+            file.append = OpenOptions::new().append(true).open(&file.path).ok();
         }
+        Ok(file)
+    }
+
+    /// Persists one verdict just inserted into `cache`: appends its
+    /// record, or rewrites the snapshot once the appended records would
+    /// outnumber it (or when the file cannot take an append).
+    pub fn add(
+        &mut self,
+        cache: &VerdictCache,
+        key: &CacheKey,
+        verdict: Verdict,
+        class: TgdClass,
+    ) -> io::Result<()> {
+        let result = match self.append.as_mut() {
+            Some(f) if self.appended < self.snapshot => f
+                .write_all(&VerdictCache::record(key, verdict, class))
+                .map(|()| self.appended += 1),
+            _ => self.snapshot(cache),
+        };
+        if result.is_err() {
+            // A partial append may have left a torn record: only a fresh
+            // snapshot may follow it.
+            self.append = None;
+        }
+        result
+    }
+
+    /// Rewrites the file as a snapshot of `cache`, folding in every
+    /// appended record. Write-then-rename, so a crash mid-write never
+    /// leaves a corrupt snapshot behind.
+    pub fn snapshot(&mut self, cache: &VerdictCache) -> io::Result<()> {
+        self.append = None;
+        let mut tmp = self.path.clone().into_os_string();
+        tmp.push(".tmp");
+        let bytes = cache.to_bytes();
+        std::fs::write(&tmp, &bytes)?;
+        std::fs::rename(&tmp, &self.path)?;
+        self.snapshot = (bytes.len() - HEADER_BYTES) / RECORD_BYTES;
+        self.appended = 0;
+        self.append = Some(OpenOptions::new().append(true).open(&self.path)?);
+        soct_obs::global().cache_persists.inc();
         Ok(())
     }
 
-    /// Writes the cache to a file.
-    pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        std::fs::write(path, self.to_bytes())
-    }
-
-    /// Reads a file written by [`VerdictCache::save`] into this cache.
-    pub fn load(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        self.load_bytes(&std::fs::read(path)?)
+    /// Records in the last snapshot.
+    pub fn snapshot_len(&self) -> usize {
+        self.snapshot
     }
 }
 
@@ -406,18 +524,27 @@ pub fn check_termination_cached(
 /// probe: sub-millisecond regardless of database size, and guaranteed
 /// whenever no write since the last check changed the class-relevant
 /// fingerprint (the distinct shape set for L, the non-empty relations for
-/// SL/general). A miss dispatches [`check_termination_engine`], which
-/// itself reads shapes from the catalog instead of rescanning tables.
-pub fn check_termination_live(
+/// SL/general).
+///
+/// `engine` is a plain `&StorageEngine` or a lock guard that derefs to
+/// one, and it is released before any checking starts: on a miss, the
+/// part of the database the class reads (`shape(D)` from the catalog for
+/// L, the non-empty predicates for SL/general) is copied first, then the
+/// engine is dropped, and the checker runs on the copy. A caller holding
+/// the engine under a read lock therefore blocks writers for the key, the
+/// probe and that copy, never for a check. The verdict is inserted under
+/// the key taken together with the copy, so it is exactly the verdict of
+/// the database the key names.
+pub fn check_termination_live<E: Deref<Target = StorageEngine>>(
     schema: &Schema,
     tgds: &[Tgd],
-    engine: &StorageEngine,
+    engine: E,
     mode: FindShapesMode,
     threads: usize,
     cache: &VerdictCache,
 ) -> CachedCheck {
     let mut phases = Phases::new();
-    let (key, class) = phases.run("fingerprint", || cache_key_live(schema, tgds, engine));
+    let (key, class) = phases.run("fingerprint", || cache_key_live(schema, tgds, &engine));
     let cached = phases.run("lookup", || cache.get(&key));
 
     if let Some((verdict, cached_class)) = cached {
@@ -435,7 +562,9 @@ pub fn check_termination_live(
     }
 
     let report = phases.run("check", || {
-        check_termination_engine(schema, tgds, engine, mode, threads)
+        let view = DbView::of_engine(&engine, class, mode, threads);
+        drop(engine);
+        view.check(schema, tgds)
     });
     cache.insert(key, report.verdict, report.class);
     CachedCheck {
@@ -739,40 +868,213 @@ mod tests {
         let mut bytes = cache.to_bytes();
         bytes[2] = b'X'; // magic
         assert!(VerdictCache::new(8).load_bytes(&bytes).is_err());
-        let good = cache.to_bytes();
-        assert!(VerdictCache::new(8)
-            .load_bytes(&good[..good.len() - 1])
-            .is_err());
         let mut bad_code = cache.to_bytes();
         let last = bad_code.len() - 1;
         bad_code[last] = 9; // class code out of range
         assert!(VerdictCache::new(8).load_bytes(&bad_code).is_err());
     }
 
+    /// Distinct keys that spread over the shards.
+    fn key(i: u128) -> CacheKey {
+        CacheKey {
+            rules: Fingerprint(i.wrapping_mul(0x9e37_79b9_7f4a_7c15_f39c_c060_5ced_c835)),
+            db: Fingerprint(0xdb),
+        }
+    }
+
     #[test]
-    fn file_round_trip() {
-        let dir = std::env::temp_dir().join("soct_verdict_cache_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("verdicts.soctvc");
-        let cache = VerdictCache::new(8);
-        cache.insert(
-            CacheKey {
-                rules: Fingerprint(7),
-                db: Fingerprint(8),
-            },
+    fn appended_records_load_after_the_snapshot() {
+        let cache = VerdictCache::new(64);
+        cache.insert(key(1), Verdict::Finite, TgdClass::Linear);
+        let mut file = cache.to_bytes();
+        file.extend_from_slice(&VerdictCache::record(
+            &key(2),
+            Verdict::Infinite,
+            TgdClass::SimpleLinear,
+        ));
+        // A later record for a key already in the snapshot wins.
+        file.extend_from_slice(&VerdictCache::record(
+            &key(1),
             Verdict::Unknown,
             TgdClass::General,
-        );
-        cache.save(&path).unwrap();
-        let restored = VerdictCache::new(8);
-        restored.load(&path).unwrap();
+        ));
+        let restored = VerdictCache::new(64);
+        let loaded = restored.load_bytes(&file).unwrap();
         assert_eq!(
-            restored.get(&CacheKey {
-                rules: Fingerprint(7),
-                db: Fingerprint(8),
-            }),
+            loaded,
+            LoadedFile {
+                snapshot: 1,
+                appended: 2,
+                torn_bytes: 0
+            }
+        );
+        assert_eq!(
+            restored.get(&key(1)),
             Some((Verdict::Unknown, TgdClass::General))
         );
-        std::fs::remove_file(&path).ok();
+        assert_eq!(
+            restored.get(&key(2)),
+            Some((Verdict::Infinite, TgdClass::SimpleLinear))
+        );
+    }
+
+    #[test]
+    fn a_file_cut_mid_record_loads_its_whole_records() {
+        let cache = VerdictCache::new(64);
+        for i in 0..3 {
+            cache.insert(key(i), Verdict::Finite, TgdClass::Linear);
+        }
+        let mut file = cache.to_bytes();
+        file.extend_from_slice(&VerdictCache::record(
+            &key(7),
+            Verdict::Infinite,
+            TgdClass::Linear,
+        ));
+        // Every cut inside the last record drops that record alone, and a
+        // cut inside the snapshot keeps the records before it.
+        for cut in [
+            file.len() - 1,
+            file.len() - RECORD_BYTES + 1,
+            HEADER_BYTES + 40,
+        ] {
+            let restored = VerdictCache::new(64);
+            let loaded = restored.load_bytes(&file[..cut]).unwrap();
+            let whole = (cut - HEADER_BYTES) / RECORD_BYTES;
+            assert_eq!(loaded.snapshot + loaded.appended, whole, "cut at {cut}");
+            assert_eq!(loaded.torn_bytes, (cut - HEADER_BYTES) % RECORD_BYTES);
+            assert_eq!(restored.len(), whole);
+            assert_eq!(restored.get(&key(7)), None);
+        }
+    }
+
+    /// A snapshot as the format has always been written: magic, entry
+    /// count, then sorted 34-byte records. Built byte by byte, so it pins
+    /// the format rather than whatever `to_bytes` writes today.
+    #[test]
+    fn files_in_the_snapshot_format_load_identically() {
+        let mut file = b"SOCTVC1\0".to_vec();
+        file.extend_from_slice(&2u32.to_le_bytes());
+        for (rules, db, verdict, class) in [(3u128, 4u128, 1u8, 1u8), (5, 6, 0, 0)] {
+            file.extend_from_slice(&rules.to_le_bytes());
+            file.extend_from_slice(&db.to_le_bytes());
+            file.extend_from_slice(&[verdict, class]);
+        }
+        let cache = VerdictCache::new(8);
+        let loaded = cache.load_bytes(&file).unwrap();
+        assert_eq!(
+            loaded,
+            LoadedFile {
+                snapshot: 2,
+                appended: 0,
+                torn_bytes: 0
+            }
+        );
+        let k = |r: u128, d: u128| CacheKey {
+            rules: Fingerprint(r),
+            db: Fingerprint(d),
+        };
+        assert_eq!(
+            cache.get(&k(3, 4)),
+            Some((Verdict::Infinite, TgdClass::Linear))
+        );
+        assert_eq!(
+            cache.get(&k(5, 6)),
+            Some((Verdict::Finite, TgdClass::SimpleLinear))
+        );
+        assert_eq!(cache.to_bytes(), file, "a snapshot re-serialises unchanged");
+    }
+
+    fn temp_file(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(name);
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join("verdicts.soctvc")
+    }
+
+    #[test]
+    fn file_round_trip() {
+        let path = temp_file("soct_verdict_cache_test");
+        let cache = VerdictCache::new(8);
+        let mut file = CacheFile::open(&path, &cache).unwrap();
+        let k = CacheKey {
+            rules: Fingerprint(7),
+            db: Fingerprint(8),
+        };
+        cache.insert(k, Verdict::Unknown, TgdClass::General);
+        file.add(&cache, &k, Verdict::Unknown, TgdClass::General)
+            .unwrap();
+        let restored = VerdictCache::new(8);
+        CacheFile::open(&path, &restored).unwrap();
+        assert_eq!(
+            restored.get(&k),
+            Some((Verdict::Unknown, TgdClass::General))
+        );
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn the_file_stays_within_twice_its_snapshot() {
+        let path = temp_file("soct_verdict_cache_growth");
+        let cache = VerdictCache::new(1024);
+        let mut file = CacheFile::open(&path, &cache).unwrap();
+        let mut snapshots = Vec::new();
+        for i in 0..300 {
+            cache.insert(key(i), Verdict::Finite, TgdClass::Linear);
+            file.add(&cache, &key(i), Verdict::Finite, TgdClass::Linear)
+                .unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            let count = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+            let snapshot = HEADER_BYTES + count * RECORD_BYTES;
+            assert!(
+                bytes.len() <= 2 * snapshot,
+                "add {i}: {} bytes",
+                bytes.len()
+            );
+            assert_eq!(bytes.len(), HEADER_BYTES + (i as usize + 1) * RECORD_BYTES);
+            if snapshots.last() != Some(&count) {
+                snapshots.push(count);
+            }
+        }
+        assert_eq!(snapshots, [1, 3, 7, 15, 31, 63, 127, 255]);
+        // A snapshot folds the appended records in.
+        file.snapshot(&cache).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes, cache.to_bytes());
+        assert_eq!(bytes.len(), HEADER_BYTES + 300 * RECORD_BYTES);
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn a_torn_file_is_rewritten_before_the_next_record() {
+        let path = temp_file("soct_verdict_cache_torn");
+        let cache = VerdictCache::new(64);
+        let mut file = CacheFile::open(&path, &cache).unwrap();
+        for i in 0..4 {
+            cache.insert(key(i), Verdict::Finite, TgdClass::Linear);
+            file.add(&cache, &key(i), Verdict::Finite, TgdClass::Linear)
+                .unwrap();
+        }
+        drop(file);
+        // A crash mid-append leaves part of a record behind.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.extend_from_slice(&[0xAB; 20]);
+        std::fs::write(&path, &bytes).unwrap();
+        let second = VerdictCache::new(64);
+        let mut file = CacheFile::open(&path, &second).unwrap();
+        assert_eq!(second.len(), 4);
+        // The next record goes into a fresh snapshot, not after the torn
+        // bytes, so every verdict survives the next load.
+        second.insert(key(4), Verdict::Infinite, TgdClass::Linear);
+        file.add(&second, &key(4), Verdict::Infinite, TgdClass::Linear)
+            .unwrap();
+        let third = VerdictCache::new(64);
+        let loaded = CacheFile::open(&path, &third).unwrap();
+        assert_eq!(loaded.snapshot_len(), 5);
+        assert_eq!(third.len(), 5);
+        assert_eq!(
+            third.get(&key(4)),
+            Some((Verdict::Infinite, TgdClass::Linear))
+        );
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 }

@@ -23,8 +23,8 @@ pub mod oracle;
 pub mod timings;
 
 pub use cache::{
-    cache_key, cache_key_live, check_termination_cached, check_termination_live, CacheKey,
-    CacheStats, CachedCheck, VerdictCache,
+    cache_key, cache_key_live, check_termination_cached, check_termination_live, CacheFile,
+    CacheKey, CacheStats, CachedCheck, VerdictCache,
 };
 pub use check_l::{
     check_l_with_shapes, is_chase_finite_l, is_chase_finite_l_parallel, is_chase_finite_l_text,

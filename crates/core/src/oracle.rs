@@ -9,7 +9,7 @@ use soct_chase::{is_chase_finite_materialization, MaterializationReport};
 use soct_graph::{find_special_sccs, supports, DependencyGraph};
 use soct_model::shape::shapes_of_instance;
 use soct_model::simplify::simplify_instance;
-use soct_model::{FxHashSet, Instance, PredId, Schema, Tgd, TgdClass};
+use soct_model::{FxHashSet, Instance, PredId, Schema, Shape, Tgd, TgdClass};
 use soct_storage::{InstanceSource, StorageEngine, TupleSource};
 
 /// Materialization-based termination check, complete for simple-linear and
@@ -178,51 +178,79 @@ pub fn check_termination_engine(
     threads: usize,
 ) -> TerminationReport {
     let class = soct_model::tgd::classify(tgds);
-    let verdict = match class {
-        TgdClass::SimpleLinear => {
-            let db_preds: FxHashSet<PredId> = engine.non_empty_predicates().into_iter().collect();
-            if is_chase_finite_sl(schema, tgds, &db_preds).finite {
+    DbView::of_engine(engine, class, mode, threads).check(schema, tgds)
+}
+
+/// What a termination check reads of a database, per class: the
+/// non-empty predicates for Algorithm 1 and the D-weak-acyclicity test,
+/// `shape(D)` for Algorithm 3 (§4, §5). It is owned, so a caller can copy
+/// it from under a lock and check it after releasing the lock.
+#[derive(Debug)]
+pub(crate) enum DbView {
+    SimpleLinear(FxHashSet<PredId>),
+    Linear(Vec<Shape>),
+    General(FxHashSet<PredId>),
+}
+
+impl DbView {
+    /// Copies the view a `class` ruleset reads out of `engine`. `shape(D)`
+    /// comes from the maintained catalog when the engine tracks shapes,
+    /// and from one `FindShapes` scan in `mode` otherwise; the non-empty
+    /// predicates come from the table directory.
+    pub(crate) fn of_engine(
+        engine: &StorageEngine,
+        class: TgdClass,
+        mode: FindShapesMode,
+        threads: usize,
+    ) -> Self {
+        let preds = || engine.non_empty_predicates().into_iter().collect();
+        match class {
+            TgdClass::SimpleLinear => DbView::SimpleLinear(preds()),
+            TgdClass::Linear => DbView::Linear(match engine.shape_catalog() {
+                Some(cat) => cat.shapes(),
+                None => crate::find_shapes::find_shapes_parallel(engine, mode, threads).shapes,
+            }),
+            TgdClass::General => DbView::General(preds()),
+        }
+    }
+
+    /// Decides termination of `tgds` on the database the view was copied
+    /// from, with the same verdict as [`check_termination_engine`].
+    pub(crate) fn check(&self, schema: &Schema, tgds: &[Tgd]) -> TerminationReport {
+        let finite = |f: bool| {
+            if f {
                 Verdict::Finite
             } else {
                 Verdict::Infinite
             }
-        }
-        TgdClass::Linear => {
-            let finite = match engine.shape_catalog() {
-                Some(cat) => {
-                    crate::check_l::check_l_with_shapes(schema, tgds, &cat.shapes()).finite
-                }
-                None => {
-                    crate::check_l::is_chase_finite_l_parallel(schema, tgds, engine, mode, threads)
-                        .finite
-                }
-            };
-            if finite {
-                Verdict::Finite
-            } else {
-                Verdict::Infinite
+        };
+        let (verdict, class) = match self {
+            DbView::SimpleLinear(preds) => (
+                finite(is_chase_finite_sl(schema, tgds, preds).finite),
+                TgdClass::SimpleLinear,
+            ),
+            DbView::Linear(shapes) => (
+                finite(crate::check_l::check_l_with_shapes(schema, tgds, shapes).finite),
+                TgdClass::Linear,
+            ),
+            DbView::General(preds) => {
+                // D-weak-acyclicity: sufficient for termination of any TGD set.
+                let graph = DependencyGraph::build(schema, tgds);
+                let reps = find_special_sccs(&graph).special_representatives();
+                let supported = !reps.is_empty() && {
+                    let derivable = derivable_predicates(tgds, preds);
+                    supports(&graph, schema, &reps, |p| derivable.contains(&p))
+                };
+                let verdict = if supported {
+                    Verdict::Unknown
+                } else {
+                    Verdict::Finite
+                };
+                (verdict, TgdClass::General)
             }
-        }
-        TgdClass::General => {
-            let graph = DependencyGraph::build(schema, tgds);
-            let scc = find_special_sccs(&graph);
-            let reps = scc.special_representatives();
-            let supported = if reps.is_empty() {
-                false
-            } else {
-                let db_preds: FxHashSet<PredId> =
-                    engine.non_empty_predicates().into_iter().collect();
-                let derivable = derivable_predicates(tgds, &db_preds);
-                supports(&graph, schema, &reps, |p| derivable.contains(&p))
-            };
-            if supported {
-                Verdict::Unknown
-            } else {
-                Verdict::Finite
-            }
-        }
-    };
-    TerminationReport { verdict, class }
+        };
+        TerminationReport { verdict, class }
+    }
 }
 
 #[cfg(test)]

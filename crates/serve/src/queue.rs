@@ -8,7 +8,6 @@ use crate::service::TerminationService;
 use soct_obs::{Histogram, PromText};
 use std::collections::{HashMap, VecDeque};
 use std::io::Write as _;
-use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -168,11 +167,20 @@ pub(crate) struct Completion {
     pub body: String,
 }
 
-/// Wakes the reactor out of `poll` by writing one byte to the loopback
-/// wake connection. Nonblocking: a full pipe means a wakeup is already
+/// One end of the reactor's wake channel: a socketpair on unix, a
+/// loopback TCP connection elsewhere.
+#[cfg(unix)]
+pub(crate) type WakeStream = std::os::unix::net::UnixStream;
+/// One end of the reactor's wake channel: a socketpair on unix, a
+/// loopback TCP connection elsewhere.
+#[cfg(not(unix))]
+pub(crate) type WakeStream = std::net::TcpStream;
+
+/// Wakes the reactor out of `poll` by writing one byte to the wake
+/// channel. Nonblocking: a full buffer means a wakeup is already
 /// pending, so dropping the byte is correct.
 pub(crate) struct Waker {
-    tx: TcpStream,
+    tx: WakeStream,
 }
 
 impl fmt::Debug for Waker {
@@ -182,7 +190,7 @@ impl fmt::Debug for Waker {
 }
 
 impl Waker {
-    pub(crate) fn new(tx: TcpStream) -> Self {
+    pub(crate) fn new(tx: WakeStream) -> Self {
         Waker { tx }
     }
 
@@ -191,24 +199,30 @@ impl Waker {
     }
 }
 
-/// Builds the reactor's wake channel: a loopback pair `(tx, rx)`, both
-/// nonblocking. `tx` is cloned into every worker and the server handle;
-/// `rx` joins the reactor's poll set.
-pub(crate) fn waker_pair() -> io::Result<(TcpStream, TcpStream)> {
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    let tx = TcpStream::connect(listener.local_addr()?)?;
-    let local = tx.local_addr()?;
-    // Accept until we see our own connection, discarding any stranger
-    // that raced onto the ephemeral port.
-    let rx = loop {
-        let (s, peer) = listener.accept()?;
-        if peer == local {
-            break s;
-        }
+/// Builds the reactor's wake channel `(tx, rx)`, both ends nonblocking.
+/// `tx` is cloned into every worker and the server handle; `rx` joins the
+/// reactor's poll set.
+pub(crate) fn waker_pair() -> io::Result<(WakeStream, WakeStream)> {
+    #[cfg(unix)]
+    let (tx, rx) = WakeStream::pair()?;
+    #[cfg(not(unix))]
+    let (tx, rx) = {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0")?;
+        let tx = WakeStream::connect(listener.local_addr()?)?;
+        let local = tx.local_addr()?;
+        // Accept until we see our own connection, discarding any stranger
+        // that raced onto the ephemeral port.
+        let rx = loop {
+            let (s, peer) = listener.accept()?;
+            if peer == local {
+                break s;
+            }
+        };
+        let _ = tx.set_nodelay(true);
+        (tx, rx)
     };
     tx.set_nonblocking(true)?;
     rx.set_nonblocking(true)?;
-    let _ = tx.set_nodelay(true);
     Ok((tx, rx))
 }
 

@@ -16,7 +16,7 @@ use crate::http::{
     CONTINUE,
 };
 use crate::json::{merge_objects, JsonObject};
-use crate::queue::{Endpoint, Job, JobState, Shared};
+use crate::queue::{Endpoint, Job, JobState, Shared, WakeStream};
 use crate::sys::PollSet;
 use soct_obs::PromText;
 use std::collections::HashMap;
@@ -177,7 +177,7 @@ pub(crate) fn run_reactor(
     shared: &Shared,
     cfg: &ServerConfig,
     stop: &AtomicBool,
-    wake_rx: TcpStream,
+    wake_rx: WakeStream,
 ) {
     if listener.set_nonblocking(true).is_err() {
         return;
@@ -205,17 +205,17 @@ pub(crate) fn run_reactor(
 
         set.clear();
         let listener_slot = if draining.is_none() {
-            Some(set.register_listener(&listener))
+            Some(set.register(&listener, true, false))
         } else {
             None
         };
-        let wake_slot = set.register_stream(&wake_rx, true, false);
+        let wake_slot = set.register(&wake_rx, true, false);
         let mut slots: Vec<(u64, usize)> = Vec::with_capacity(conns.len());
         for (&cid, c) in &conns {
             let want_read = c.inflight.is_none() && !c.peer_eof && draining.is_none();
             slots.push((
                 cid,
-                set.register_stream(&c.stream, want_read, c.has_pending_write()),
+                set.register(&c.stream, want_read, c.has_pending_write()),
             ));
         }
         let timeout = poll_timeout(&conns, cfg, draining.is_some());

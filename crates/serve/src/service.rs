@@ -5,8 +5,8 @@
 use crate::json::JsonObject;
 use soct_chase::{run_chase_columnar, ChaseConfig, ChaseOutcome, ChaseVariant};
 use soct_core::{
-    check_termination_cached, check_termination_live, find_shapes_parallel, FindShapesMode,
-    Verdict, VerdictCache,
+    check_termination_cached, check_termination_live, find_shapes_parallel, CacheFile, CacheKey,
+    CachedCheck, FindShapesMode, Verdict, VerdictCache,
 };
 use soct_model::{
     Atom, ConstId, Database, FxHashMap, Interner, PredId, Schema, SymbolId, Term, Tgd, TgdClass,
@@ -17,22 +17,13 @@ use soct_storage::{
     InstanceSource, RealIo, RecoveryReport, StorageEngine, SyncPolicy, TupleSource, Wal, WalEntry,
 };
 use std::io;
+use std::ops::Deref;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::{Mutex, RwLock, RwLockReadGuard};
 
 /// File name of the persisted verdict cache inside `cache_dir`.
 pub const CACHE_FILE: &str = "verdicts.soctvc";
-
-/// Below this many cached entries, every miss persists immediately (a
-/// small file write); above it, writes batch to bound the O(cache) cost.
-const PERSIST_IMMEDIATE_LIMIT: usize = 4096;
-
-/// Batch size for persistence once the cache is past
-/// [`PERSIST_IMMEDIATE_LIMIT`]: at most one full rewrite per this many
-/// newly computed verdicts. At worst the last `PERSIST_BATCH - 1`
-/// verdicts are lost on a crash — recomputable by definition.
-const PERSIST_BATCH: u64 = 64;
 
 /// Replay debt at which the write path takes a checkpoint: once this
 /// many WAL bytes accumulate since the last snapshot, the next write
@@ -52,10 +43,13 @@ pub struct ServiceConfig {
     /// LRU bound of the verdict cache (entries).
     pub cache_capacity: usize,
     /// When set, the verdict cache is loaded from
-    /// `cache_dir/verdicts.soctvc` at startup and re-written after newly
-    /// computed verdicts, so restarts start warm. Writes are immediate
-    /// while the cache is small and batched (one snapshot per 64 misses)
-    /// once it grows, bounding the per-miss serialisation cost.
+    /// `cache_dir/verdicts.soctvc` at startup, and every newly computed
+    /// verdict is persisted there before its response, so restarts (and
+    /// crashes) start warm. A miss appends its one 34-byte record to the
+    /// file; the sorted snapshot is rewritten (temp file, then rename)
+    /// only once the appended records outnumber it, and at shutdown. A
+    /// miss therefore costs O(1) file bytes amortised, and the file stays
+    /// within twice the size of its snapshot.
     pub cache_dir: Option<PathBuf>,
     /// Hard ceiling on the atom budget a `/chase` request may ask for.
     pub max_chase_atoms: usize,
@@ -118,9 +112,12 @@ pub struct ServiceStats {
 
 /// The resident live database: a writable engine with shape tracking on,
 /// plus the schema/constant interners its facts were parsed against. One
-/// `RwLock` guards the whole thing — writes are short (O(arity²) per tuple
-/// for inserts), and checks take the read side so they can proceed
-/// concurrently with each other.
+/// `RwLock` guards the whole thing. Writes take the write side and are
+/// short (O(arity²) per tuple for inserts). Live checks take the read
+/// side only to parse their rules against the schema, read the cache key
+/// and, on a miss, copy the class-relevant view; the checker itself runs
+/// after the lock is released (see [`TerminationService::check_live`]).
+/// The interner only grows with written constants, and no check reads it.
 #[derive(Debug)]
 struct LiveDb {
     schema: Schema,
@@ -141,6 +138,19 @@ struct LiveDb {
     logged_preds: usize,
     /// What recovery observed at startup, surfaced on `/db/stats`.
     recovery: Option<RecoveryReport>,
+}
+
+/// A read guard of the live database that derefs to its engine, so the
+/// guard itself can be handed to [`check_termination_live`], which drops
+/// it before checking.
+struct LiveEngine<'a>(RwLockReadGuard<'a, LiveDb>);
+
+impl Deref for LiveEngine<'_> {
+    type Target = StorageEngine;
+
+    fn deref(&self) -> &StorageEngine {
+        &self.0.engine
+    }
 }
 
 /// Counters and fingerprint movement of one applied write batch.
@@ -369,11 +379,9 @@ pub struct TerminationService {
     cfg: ServiceConfig,
     cache: VerdictCache,
     stats: ServiceStats,
-    /// Serialises best-effort cache writes so concurrent misses do not
-    /// interleave partial files.
-    persist_lock: Mutex<()>,
-    /// Verdicts inserted since the last persisted snapshot.
-    dirty: AtomicU64,
+    /// The persisted cache file, when `cache_dir` is configured; the mutex
+    /// serialises writers, so concurrent misses never interleave records.
+    cache_file: Option<Mutex<CacheFile>>,
     /// The resident live database, when `db_path` is configured.
     live: Option<RwLock<LiveDb>>,
 }
@@ -385,13 +393,13 @@ impl TerminationService {
     /// operational mistakes.
     pub fn new(cfg: ServiceConfig) -> io::Result<Self> {
         let cache = VerdictCache::new(cfg.cache_capacity);
-        if let Some(dir) = &cfg.cache_dir {
-            std::fs::create_dir_all(dir)?;
-            let file = dir.join(CACHE_FILE);
-            if file.exists() {
-                cache.load(&file)?;
+        let cache_file = match &cfg.cache_dir {
+            Some(dir) => {
+                std::fs::create_dir_all(dir)?;
+                Some(Mutex::new(CacheFile::open(dir.join(CACHE_FILE), &cache)?))
             }
-        }
+            None => None,
+        };
         let live = match &cfg.db_path {
             Some(path) if cfg.wal => Some(RwLock::new(LiveDb::open_durable(
                 path,
@@ -405,8 +413,7 @@ impl TerminationService {
             cfg,
             cache,
             stats: ServiceStats::default(),
-            persist_lock: Mutex::new(()),
-            dirty: AtomicU64::new(0),
+            cache_file,
             live,
         })
     }
@@ -497,7 +504,7 @@ impl TerminationService {
             &self.cache,
         );
         if !checked.hit {
-            self.persist_best_effort();
+            self.persist_best_effort(&checked);
         }
         let mut o = JsonObject::new();
         o.str_field("verdict", verdict_str(checked.report.verdict))
@@ -511,25 +518,32 @@ impl TerminationService {
     }
 
     /// `/check?db=live`: decide termination for the body's rules against
-    /// the resident live database. Rules parse against a *clone* of the
-    /// live schema, so rule-only predicates intern freely without mutating
-    /// the shared vocabulary — a predicate with no table is simply an
-    /// empty relation, exactly the semantics the checkers expect. With
-    /// shape tracking on, the db half of the cache key is an O(1)
-    /// accumulator read: revalidation after shape-preserving writes is a
-    /// pure cache hit, independent of database size.
+    /// the resident live database.
+    ///
+    /// Under the live-db read lock, the rules parse against a copy of the
+    /// live *schema*, so rule-only predicates get fresh ids without
+    /// mutating the shared vocabulary (a predicate with no table is an
+    /// empty relation, exactly the semantics the checkers expect), and
+    /// against an empty constant interner: TGDs hold no constants (a
+    /// constant in a rule, like a fact, is a 400), so the live interner is
+    /// neither read nor copied. The key, the cache probe and, on a miss,
+    /// the copy of `shape(D)` or of the non-empty predicates are taken
+    /// under the same lock; the checker runs after it is released, so a
+    /// slow miss never stalls `/db` writes. A hit costs
+    /// O(|Σ| + |sch(D)|): with shape tracking on, the db half of the key
+    /// is an O(1) accumulator read, independent of database size.
     fn check_live(&self, body: &str, query: &FxHashMap<String, String>) -> ServiceResult {
         let live = self.live.as_ref().ok_or_else(no_live_db)?;
         let mode = mode_from(query, self.cfg.mode)?;
         let guard = live.read().expect("live db poisoned");
         let mut schema = guard.schema.clone();
-        let mut consts = guard.consts.clone();
-        let tgds = soct_parser::parse_tgds(body, &mut schema, &mut consts)
+        let tgds = soct_parser::parse_tgds(body, &mut schema, &mut Interner::new())
             .map_err(|e| (400, e.to_string()))?;
+        let db_atoms = guard.engine.total_rows();
         let checked = check_termination_live(
             &schema,
             &tgds,
-            &guard.engine,
+            LiveEngine(guard),
             mode,
             self.cfg.check_threads,
             &self.cache,
@@ -539,13 +553,13 @@ impl TerminationService {
                 .live_revalidations
                 .fetch_add(1, Ordering::Relaxed);
         } else {
-            self.persist_best_effort();
+            self.persist_best_effort(&checked);
         }
         let mut o = JsonObject::new();
         o.str_field("verdict", verdict_str(checked.report.verdict))
             .str_field("class", class_str(checked.report.class))
             .u64_field("rules", tgds.len() as u64)
-            .u64_field("db_atoms", guard.engine.total_rows())
+            .u64_field("db_atoms", db_atoms)
             .str_field("rule_fp", &checked.rules_fp.to_string())
             .str_field("db_fp", &checked.db_fp.to_string())
             .bool_field("cached", checked.hit);
@@ -850,40 +864,35 @@ impl TerminationService {
         soct_obs::global().render_into(out);
     }
 
-    /// Writes the verdict cache to `cache_dir`, if configured.
+    /// Writes a snapshot of the verdict cache to `cache_dir`, if
+    /// configured, folding in the records appended since the last one.
     pub fn persist(&self) -> io::Result<()> {
-        let Some(dir) = &self.cfg.cache_dir else {
+        let Some(file) = &self.cache_file else {
             return Ok(());
         };
-        let _guard = self.persist_lock.lock().expect("persist lock poisoned");
-        // Write-then-rename so a crash mid-write never leaves a corrupt
-        // cache for the next startup to choke on.
-        let tmp = dir.join(format!("{CACHE_FILE}.tmp"));
-        self.cache.save(&tmp)?;
-        std::fs::rename(&tmp, dir.join(CACHE_FILE))?;
-        soct_obs::global().cache_persists.inc();
+        let mut file = file.lock().expect("cache file lock poisoned");
+        file.snapshot(&self.cache)?;
         soct_obs::log_debug!(
             "serve",
             "event=cache_persisted entries={}",
-            self.cache.len()
+            file.snapshot_len()
         );
         Ok(())
     }
 
-    /// Persists after a newly computed verdict: immediately while the
-    /// cache is small, every [`PERSIST_BATCH`] misses once it is large —
-    /// a full snapshot write is O(cache), which must not be a per-request
-    /// cost at scale.
-    fn persist_best_effort(&self) {
-        if self.cfg.cache_dir.is_none() {
+    /// Persists a newly computed verdict before its response: one record
+    /// appended to the cache file, amortised (see [`CacheFile::add`]).
+    fn persist_best_effort(&self, checked: &CachedCheck) {
+        let Some(file) = &self.cache_file else {
             return;
-        }
-        let dirty = self.dirty.fetch_add(1, Ordering::Relaxed) + 1;
-        if self.cache.len() > PERSIST_IMMEDIATE_LIMIT && dirty < PERSIST_BATCH {
-            return;
-        }
-        self.dirty.store(0, Ordering::Relaxed);
-        if let Err(e) = self.persist() {
+        };
+        let key = CacheKey {
+            rules: checked.rules_fp,
+            db: checked.db_fp,
+        };
+        let (verdict, class) = (checked.report.verdict, checked.report.class);
+        let mut file = file.lock().expect("cache file lock poisoned");
+        if let Err(e) = file.add(&self.cache, &key, verdict, class) {
             self.stats.persist_failures.fetch_add(1, Ordering::Relaxed);
             soct_obs::log_warn!("serve", "event=persist_failed error={e}");
         }
@@ -1153,6 +1162,49 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    #[test]
+    fn every_miss_is_persisted_before_a_crash() {
+        let dir = std::env::temp_dir().join("soct_serve_cache_crash");
+        std::fs::remove_dir_all(&dir).ok();
+        let cfg = ServiceConfig {
+            cache_dir: Some(dir.clone()),
+            ..ServiceConfig::default()
+        };
+        // A distinct simple-linear ruleset per `i`, so each one misses.
+        let rules = |i: usize| format!("p{i}(X) -> q{i}(X, Y).\nq{i}(X, Y) -> p{i}(Y).\n");
+        let first = TerminationService::new(cfg.clone()).unwrap();
+        // Persistence may not depend on the cache's size.
+        for i in 0..5000u128 {
+            let key = CacheKey {
+                rules: soct_model::Fingerprint(
+                    i.wrapping_mul(0x9e37_79b9_7f4a_7c15_f39c_c060_5ced_c835),
+                ),
+                db: soct_model::Fingerprint(0),
+            };
+            first
+                .cache()
+                .insert(key, Verdict::Finite, TgdClass::General);
+        }
+        first.persist().unwrap();
+        for i in 0..50 {
+            let (_, body) = first.handle("POST", "/check", &rules(i));
+            assert_eq!(get_field(&body, "cached"), Some("false"), "{body}");
+        }
+        // Dropped without shutdown(): nothing beyond the per-miss writes.
+        drop(first);
+        let second = TerminationService::new(cfg).unwrap();
+        assert_eq!(second.cache().len(), 5050);
+        for i in 0..50 {
+            let (_, body) = second.handle("POST", "/check", &rules(i));
+            assert_eq!(
+                get_field(&body, "cached"),
+                Some("true"),
+                "ruleset {i}: {body}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// Linear ruleset whose verdict flips on the presence of the shape
     /// `r_(1,1)`: the s/t loop only fires once some `r(c, c)` exists.
     const SHAPE_SENSITIVE_L: &str = "r(X, X) -> s(X).\ns(X) -> t(X, Y).\nt(X, Y) -> s(Y).\n";
@@ -1199,6 +1251,142 @@ mod tests {
         let (_, body4) = s.handle("POST", "/check?db=live", SHAPE_SENSITIVE_L);
         assert_eq!(get_field(&body4, "cached"), Some("true"), "{body4}");
         assert_eq!(get_field(&body4, "verdict"), Some("finite"));
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn live_check_keys_are_pinned() {
+        // Persisted cache files outlive the process that wrote them, so a
+        // live check's key may not move between versions: these values
+        // were written by a version whose live checks parsed against a
+        // copy of the live constant interner. All three classes (L keys
+        // on shape(D), SL and TGD on the non-empty predicates).
+        let (s, path) = live_svc("soct_serve_live_fps.facts", "r(a, b).\nr(b, c).\ns(a).\n");
+        for (rules, class, rule_fp, db_fp) in [
+            (
+                SHAPE_SENSITIVE_L,
+                "L",
+                "3b66072756a34d6cc370f9594b5f9f53",
+                "8c5ad8bc2692f0bdd7f0063ae28ca317",
+            ),
+            (
+                "s(X) -> t(X, Y).\nt(X, Y) -> s(Y).\n",
+                "SL",
+                "2869d7e902d34f0d05c1dcb3cb5dfee5",
+                "38709852dea15f683b5265ee6ba76835",
+            ),
+            (
+                "r(X, Y), s(X) -> t(Y, Z).\n",
+                "TGD",
+                "a3d6f5415a58f14d47e197669893b61c",
+                "38709852dea15f683b5265ee6ba76835",
+            ),
+        ] {
+            let (status, body) = s.handle("POST", "/check?db=live", rules);
+            assert_eq!(status, 200, "{body}");
+            assert_eq!(get_field(&body, "class"), Some(class), "{body}");
+            assert_eq!(get_field(&body, "rule_fp"), Some(rule_fp), "{body}");
+            assert_eq!(get_field(&body, "db_fp"), Some(db_fp), "{body}");
+        }
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn live_checks_leave_the_live_vocabulary_unchanged() {
+        let (s, path) = live_svc("soct_serve_live_vocab.facts", "r(a, b).\nr(b, c).\n");
+        let sizes = || {
+            let g = s.live.as_ref().unwrap().read().unwrap();
+            (g.schema.len(), g.consts.len())
+        };
+        let before = sizes();
+        // Rule-only predicates (s, t) and a miss followed by a hit.
+        for _ in 0..2 {
+            let (status, body) = s.handle("POST", "/check?db=live", SHAPE_SENSITIVE_L);
+            assert_eq!(status, 200, "{body}");
+        }
+        assert_eq!(sizes(), before);
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn live_bodies_with_constants_or_facts_are_rejected() {
+        let (s, path) = live_svc("soct_serve_live_reject.facts", "r(a, b).\n");
+        for body in [
+            "r(X, a) -> s(X).\n",
+            "r(X, Y) -> s(b).\n",
+            "r(X, Y) -> s(Y).\nr(a, b).\n",
+            "r(c, d).\n",
+        ] {
+            let (status, resp) = s.handle("POST", "/check?db=live", body);
+            assert_eq!(status, 400, "{body:?} answered {resp}");
+            assert!(get_field(&resp, "error").is_some(), "{resp}");
+        }
+        std::fs::remove_file(path).ok();
+    }
+
+    /// The four-rule set over one arity-`n` predicate `r` (swap the first
+    /// two positions, rotate by one, merge the first two, an existential
+    /// rule on the merged shape): from a tuple of distinct constants,
+    /// DynSimplification derives Bell(n) shapes, so a check is slow on
+    /// purpose.
+    fn bell_rules(n: usize) -> String {
+        let vars: Vec<String> = (0..n).map(|i| format!("V{i}")).collect();
+        let atom = |terms: &[String]| format!("r({})", terms.join(", "));
+        let mut swap = vars.clone();
+        swap.swap(0, 1);
+        let mut rot = vars.clone();
+        rot.rotate_left(1);
+        let mut merged = vars.clone();
+        merged[1] = vars[0].clone();
+        let mut ex = merged.clone();
+        ex[0] = "Y".into();
+        ex[1] = vars[0].clone();
+        [
+            (&vars, &swap),
+            (&vars, &rot),
+            (&vars, &merged),
+            (&merged, &ex),
+        ]
+        .iter()
+        .map(|(b, h)| format!("{} -> {}.\n", atom(b), atom(h)))
+        .collect()
+    }
+
+    #[test]
+    fn db_writes_do_not_wait_for_a_slow_live_miss() {
+        let n = 8;
+        let tuple = |p: &str| {
+            let c: Vec<String> = (0..n).map(|i| format!("{p}{i}")).collect();
+            format!("r({}).\n", c.join(", "))
+        };
+        let (s, path) = live_svc("soct_serve_slow_live.facts", &tuple("c"));
+        let rules = bell_rules(n);
+        std::thread::scope(|scope| {
+            let checker = scope.spawn(|| s.handle("POST", "/check?db=live", &rules));
+            // The cache miss is counted under the live-db read lock; past
+            // it, the check copies shape(D) and releases the lock.
+            while s.cache().stats().misses == 0 && !checker.is_finished() {
+                std::thread::sleep(std::time::Duration::from_micros(200));
+            }
+            let (status, w) = s.handle("POST", "/db/batch", &tuple("d"));
+            assert_eq!(status, 200, "{w}");
+            // The verdict is cached as soon as the check ends, so none is
+            // cached yet when the write returned before it.
+            assert_eq!(
+                s.cache().stats().insertions,
+                0,
+                "the write returned only after the live check finished"
+            );
+            let (status, body) = checker.join().unwrap();
+            assert_eq!(status, 200, "{body}");
+            assert_eq!(get_field(&body, "verdict"), Some("infinite"));
+            assert_eq!(get_field(&body, "cached"), Some("false"));
+        });
+        // The verdict was cached under the key read before the write; the
+        // write kept the shape set, so the next check hits it.
+        let (_, body) = s.handle("POST", "/check?db=live", &rules);
+        assert_eq!(get_field(&body, "cached"), Some("true"), "{body}");
+        assert_eq!(get_field(&body, "db_atoms"), Some("2"), "{body}");
         std::fs::remove_file(path).ok();
     }
 

@@ -10,7 +10,6 @@
 //! install once and poll a boolean.
 
 use std::io;
-use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Set by the signal handler; read by [`shutdown_requested`].
@@ -31,6 +30,19 @@ pub fn install_shutdown_signal() {
 pub fn shutdown_requested() -> bool {
     SHUTDOWN.load(Ordering::Relaxed)
 }
+
+/// A socket the reactor can poll: the listener, a connection, or the
+/// wake channel.
+#[cfg(unix)]
+pub(crate) trait Pollable: std::os::unix::io::AsRawFd {}
+#[cfg(unix)]
+impl<T: std::os::unix::io::AsRawFd> Pollable for T {}
+/// A socket the reactor can poll: the listener, a connection, or the
+/// wake channel.
+#[cfg(not(unix))]
+pub(crate) trait Pollable {}
+#[cfg(not(unix))]
+impl<T> Pollable for T {}
 
 /// One registered socket's interests and readiness results.
 #[derive(Clone, Copy, Debug, Default)]
@@ -78,26 +90,12 @@ impl PollSet {
         self.slots.len() - 1
     }
 
-    /// Registers a listener for accept-readiness; returns its slot.
-    pub(crate) fn register_listener(&mut self, l: &TcpListener) -> usize {
+    /// Registers a socket with the given interests (read on a listener
+    /// means accept-readiness); returns its slot. Registering with no
+    /// interests still reports `closed` (error/hangup).
+    pub(crate) fn register(&mut self, s: &impl Pollable, read: bool, write: bool) -> usize {
         #[cfg(unix)]
         {
-            use std::os::unix::io::AsRawFd;
-            self.push(l.as_raw_fd(), true, false)
-        }
-        #[cfg(not(unix))]
-        {
-            let _ = l;
-            self.push(true, false)
-        }
-    }
-
-    /// Registers a stream with the given interests; returns its slot.
-    /// Registering with no interests still reports `closed` (error/hangup).
-    pub(crate) fn register_stream(&mut self, s: &TcpStream, read: bool, write: bool) -> usize {
-        #[cfg(unix)]
-        {
-            use std::os::unix::io::AsRawFd;
             self.push(s.as_raw_fd(), read, write)
         }
         #[cfg(not(unix))]
