@@ -1,7 +1,7 @@
 //! Subcommand implementations.
 
 use crate::args::Args;
-use soct_core::{check_termination_threads, ms, FindShapesMode, Verdict};
+use soct_core::{check_termination_threads, ms, CheckRun, FindShapesMode, Verdict};
 use soct_model::{Database, Instance, Interner, Schema, TgdClass};
 use soct_storage::InstanceSource;
 use std::time::Instant;
@@ -75,7 +75,6 @@ pub fn check(args: &Args) -> Result<(), String> {
     let (schema, _consts, tgds, db) = load_program(args)?;
     let mode = mode_of(args)?;
     let threads = threads_of(args)?;
-    let class = soct_model::tgd::classify(&tgds);
     let trace = trace_session_of(args);
     let t0 = Instant::now();
     let report = {
@@ -87,7 +86,8 @@ pub fn check(args: &Args) -> Result<(), String> {
         write_trace(session, path)?;
     }
     println!(
-        "class: {class}  rules: {}  db-atoms: {}",
+        "class: {}  rules: {}  db-atoms: {}",
+        report.class,
         tgds.len(),
         db.len()
     );
@@ -103,39 +103,35 @@ pub fn check(args: &Args) -> Result<(), String> {
     if args.get_bool("quiet") {
         return Ok(());
     }
-    // Detailed breakdown for the linear classes.
-    match class {
-        TgdClass::SimpleLinear => {
-            let db_preds: soct_model::FxHashSet<_> =
-                db.non_empty_predicates().into_iter().collect();
-            let rep = soct_core::is_chase_finite_sl(&schema, &tgds, &db_preds);
-            println!(
-                "breakdown: t-graph {:.3} ms | t-comp {:.3} ms | t-supports {:.3} ms \
-                 | graph {} nodes / {} edges ({} special) | special SCCs: {}",
-                ms(rep.timings.t_graph),
-                ms(rep.timings.t_comp),
-                ms(rep.timings.t_supports),
-                rep.graph_nodes,
-                rep.graph_edges,
-                rep.special_edges,
-                rep.num_special_sccs
-            );
-        }
-        TgdClass::Linear => {
-            let src = InstanceSource::new(&schema, &db);
-            let rep = soct_core::is_chase_finite_l_parallel(&schema, &tgds, &src, mode, threads);
-            println!(
-                "breakdown: t-shapes {:.3} ms | t-graph {:.3} ms | t-comp {:.3} ms \
-                 | db-shapes {} | derived shapes {} | simplified rules {}",
-                ms(rep.timings.t_shapes),
-                ms(rep.timings.t_graph),
-                ms(rep.timings.t_comp),
-                rep.n_db_shapes,
-                rep.shapes_derived,
-                rep.n_simplified_tgds
-            );
-        }
-        TgdClass::General => {}
+    // The breakdown of the run timed above.
+    match &report.run {
+        CheckRun::Sl(rep) => println!(
+            "breakdown: t-graph {:.3} ms | t-comp {:.3} ms | t-supports {:.3} ms \
+             | graph {} nodes / {} edges ({} special) | special SCCs: {}",
+            ms(rep.timings.t_graph),
+            ms(rep.timings.t_comp),
+            ms(rep.timings.t_supports),
+            rep.graph_nodes,
+            rep.graph_edges,
+            rep.special_edges,
+            rep.num_special_sccs
+        ),
+        CheckRun::L(rep) => println!(
+            "breakdown: t-shapes {:.3} ms | t-graph {:.3} ms | t-comp {:.3} ms \
+             | db-shapes {} | derived shapes {} | simplified rules {}{}",
+            ms(rep.timings.t_shapes),
+            ms(rep.timings.t_graph),
+            ms(rep.timings.t_comp),
+            rep.n_db_shapes,
+            rep.shapes_derived,
+            rep.n_simplified_tgds,
+            if rep.stopped_early {
+                " | stopped at the first special cycle"
+            } else {
+                ""
+            }
+        ),
+        CheckRun::Cached => {}
     }
     Ok(())
 }

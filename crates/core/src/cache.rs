@@ -24,7 +24,7 @@
 //! verdict after the snapshot, and the loader reads them back in order.
 
 use crate::find_shapes::FindShapesMode;
-use crate::oracle::{check_termination_threads, DbView, TerminationReport, Verdict};
+use crate::oracle::{check_termination_threads, CheckRun, DbView, TerminationReport, Verdict};
 use crate::timings::CacheTimings;
 use soct_model::fingerprint::{
     fingerprint_instance_shapes, fingerprint_predicates, fingerprint_ruleset, fingerprint_shapes,
@@ -497,6 +497,7 @@ pub fn check_termination_cached(
             report: TerminationReport {
                 verdict,
                 class: cached_class,
+                run: CheckRun::Cached,
             },
             hit: true,
             rules_fp: key.rules,
@@ -553,6 +554,7 @@ pub fn check_termination_live<E: Deref<Target = StorageEngine>>(
             report: TerminationReport {
                 verdict,
                 class: cached_class,
+                run: CheckRun::Cached,
             },
             hit: true,
             rules_fp: key.rules,

@@ -9,14 +9,32 @@
 //! By Lemma 4.5 no supportedness check is needed: every predicate of
 //! `simple_D(Σ)` is derivable from `simple(D)` by construction, so a
 //! special cycle in `dg(simple_D(Σ))` is automatically supported.
+//!
+//! The same argument allows an early exit. DynSimplification only ever
+//! adds shapes and rules, so the graph of a partial simplification is a
+//! subgraph of `dg(simple_D(Σ))`, and a special cycle in it is already a
+//! supported special cycle of the full graph: the chase is infinite.
+//! [`check_l_early_exit`] therefore pauses the fixpoint each time the
+//! simplified set has doubled (from [`FIRST_PROBE`] rules on), builds the
+//! partial graph and stops at the first special SCC. Each probed set is at
+//! least twice the one before it and smaller than `simple_D(Σ)`, so all
+//! probes together cover fewer than twice its rules: on a Finite set the
+//! probes add at most about twice the final graph's build and SCC work.
+//! [`check_l_with_shapes`] and the `is_chase_finite_l*` functions keep the
+//! full fixpoint: their closure sizes are what the figures report.
 
-use crate::dynsimpl::{dyn_simplification, DynSimplification};
+use crate::dynsimpl::Fixpoint;
 use crate::find_shapes::{find_shapes, FindShapesMode, ShapesReport};
 use crate::timings::LTimings;
 use soct_graph::{find_special_sccs, DependencyGraph};
 use soct_model::{Schema, Shape, Tgd};
 use soct_obs::Phases;
 use soct_storage::{ShapeQueryStats, TupleSource};
+use std::time::Duration;
+
+/// Size of the simplified set at which [`check_l_early_exit`] first looks
+/// for a special cycle; it looks again whenever the set has doubled since.
+pub const FIRST_PROBE: usize = 64;
 
 /// Report of one `IsChaseFinite[L]` run.
 #[derive(Clone, Debug)]
@@ -43,6 +61,21 @@ pub struct LCheckReport {
     pub shape_stats: ShapeQueryStats,
     /// Tuples scanned by the in-memory FindShapes (zero in-database).
     pub tuples_scanned: u64,
+    /// The check stopped at a special cycle before the fixpoint
+    /// ([`check_l_early_exit`] only). The shape, rule and graph counts
+    /// above are then those of the partial simplification it stopped on.
+    pub stopped_early: bool,
+}
+
+impl LCheckReport {
+    /// Adds the FindShapes run that produced the checked `shape(D)`: its
+    /// time as `t_shapes`, and its work counters.
+    pub(crate) fn with_find_shapes(mut self, shapes: &ShapesReport, t_shapes: Duration) -> Self {
+        self.timings.t_shapes = t_shapes;
+        self.shape_stats = shapes.stats;
+        self.tuples_scanned = shapes.tuples_scanned;
+        self
+    }
 }
 
 /// Algorithm 3 with the database behind a [`TupleSource`].
@@ -54,11 +87,8 @@ pub fn is_chase_finite_l(
 ) -> LCheckReport {
     let mut phases = Phases::new();
     let shapes = phases.run("shapes", || find_shapes(src, mode));
-    let mut report = check_l_with_shapes(schema, tgds, &shapes.shapes);
-    report.timings.t_shapes = phases.duration("shapes");
-    report.shape_stats = shapes.stats;
-    report.tuples_scanned = shapes.tuples_scanned;
-    report
+    check_l_with_shapes(schema, tgds, &shapes.shapes)
+        .with_find_shapes(&shapes, phases.duration("shapes"))
 }
 
 /// Algorithm 3 with the `FindShapes` phase fanned out over worker threads
@@ -76,37 +106,75 @@ pub fn is_chase_finite_l_parallel(
     let shapes = phases.run("shapes", || {
         crate::find_shapes::find_shapes_parallel(src, mode, threads)
     });
-    let mut report = check_l_with_shapes(schema, tgds, &shapes.shapes);
-    report.timings.t_shapes = phases.duration("shapes");
-    report.shape_stats = shapes.stats;
-    report.tuples_scanned = shapes.tuples_scanned;
-    report
+    check_l_with_shapes(schema, tgds, &shapes.shapes)
+        .with_find_shapes(&shapes, phases.duration("shapes"))
 }
 
 /// The db-independent component of Algorithm 3 (§8): dynamic
 /// simplification, dependency graph, special SCCs — starting from
-/// already-computed database shapes. This is what Figures 5–7 time.
+/// already-computed database shapes. This is what Figures 5–7 time: it
+/// always runs DynSimplification to its fixpoint, so `shapes_derived`,
+/// `n_simplified_tgds` and the graph counts are those of the whole
+/// `simple_D(Σ)`. For the verdict alone, [`check_l_early_exit`] is faster
+/// on Infinite sets.
 pub fn check_l_with_shapes(schema: &Schema, tgds: &[Tgd], db_shapes: &[Shape]) -> LCheckReport {
-    let mut phases = Phases::new();
-    let (simplification, graph) = phases.run("graph", || {
-        let simplification: DynSimplification = dyn_simplification(schema, tgds, db_shapes);
-        let graph = DependencyGraph::build(simplification.schema(), &simplification.tgds);
-        (simplification, graph)
-    });
-    let special = phases.run("comp", || find_special_sccs(&graph).special_sccs());
+    check_l_probed(schema, tgds, db_shapes, usize::MAX)
+}
 
-    LCheckReport {
-        finite: special.is_empty(),
-        timings: LTimings::from_phases(&phases),
-        n_db_shapes: db_shapes.len(),
-        shapes_derived: simplification.shapes_derived,
-        n_simplified_tgds: simplification.tgds.len(),
-        graph_nodes: graph.num_nodes(),
-        graph_edges: graph.num_edges(),
-        special_edges: graph.num_special_edges(),
-        num_special_sccs: special.len(),
-        shape_stats: ShapeQueryStats::default(),
-        tuples_scanned: 0,
+/// [`check_l_with_shapes`] that stops at the first special cycle: the
+/// verdict path behind [`crate::check_termination`] and its siblings.
+///
+/// Every time the simplified set has doubled (from [`FIRST_PROBE`] rules
+/// on), the fixpoint pauses and the dependency graph of the partial set is
+/// searched for a special SCC; one found proves the chase infinite (see the
+/// module docs), and the report then carries the partial counts with
+/// `stopped_early` set. Otherwise the fixpoint's own graph decides, and
+/// the verdict and every count equal [`check_l_with_shapes`]'s. Each pause
+/// records its own `graph` and `comp` phases.
+pub fn check_l_early_exit(schema: &Schema, tgds: &[Tgd], db_shapes: &[Shape]) -> LCheckReport {
+    check_l_probed(schema, tgds, db_shapes, FIRST_PROBE)
+}
+
+/// Algorithm 3, pausing the fixpoint for a special-cycle probe once the
+/// simplified set holds `first_probe` rules and after every doubling since
+/// (`usize::MAX`: never before the fixpoint).
+fn check_l_probed(
+    schema: &Schema,
+    tgds: &[Tgd],
+    db_shapes: &[Shape],
+    first_probe: usize,
+) -> LCheckReport {
+    let mut phases = Phases::new();
+    let mut fixpoint: Option<Fixpoint> = None;
+    let mut limit = first_probe;
+    loop {
+        let (done, graph) = phases.run("graph", || {
+            let fixpoint = fixpoint.get_or_insert_with(|| Fixpoint::new(schema, tgds, db_shapes));
+            let done = fixpoint.run(limit);
+            (
+                done,
+                DependencyGraph::build(fixpoint.schema(), fixpoint.tgds()),
+            )
+        });
+        let special = phases.run("comp", || find_special_sccs(&graph).special_sccs());
+        let fixpoint = fixpoint.as_ref().expect("built by the first step");
+        if done || !special.is_empty() {
+            return LCheckReport {
+                finite: special.is_empty(),
+                timings: LTimings::from_phases(&phases),
+                n_db_shapes: db_shapes.len(),
+                shapes_derived: fixpoint.shapes_derived(),
+                n_simplified_tgds: fixpoint.tgds().len(),
+                graph_nodes: graph.num_nodes(),
+                graph_edges: graph.num_edges(),
+                special_edges: graph.num_special_edges(),
+                num_special_sccs: special.len(),
+                shape_stats: ShapeQueryStats::default(),
+                tuples_scanned: 0,
+                stopped_early: !done,
+            };
+        }
+        limit = fixpoint.tgds().len().saturating_mul(2);
     }
 }
 

@@ -72,6 +72,19 @@ pub fn is_chase_finite_sl(
     db_preds: &FxHashSet<PredId>,
 ) -> SlCheckReport {
     debug_assert!(tgds.iter().all(Tgd::is_simple_linear));
+    weak_acyclicity(schema, tgds, db_preds)
+}
+
+/// Algorithm 1's test on any TGD set: is some special SCC of `dg(Σ)`
+/// supported by the database? On simple-linear sets the answer decides
+/// termination (Theorem 3.3). On general sets an unsupported `dg(Σ)`
+/// (`finite`) is the sufficient D-weak-acyclicity condition, and a
+/// supported one decides nothing.
+pub(crate) fn weak_acyclicity(
+    schema: &Schema,
+    tgds: &[Tgd],
+    db_preds: &FxHashSet<PredId>,
+) -> SlCheckReport {
     let mut phases = Phases::new();
     let graph = phases.run("graph", || DependencyGraph::build(schema, tgds));
     let reps = phases.run("comp", || {

@@ -21,6 +21,10 @@
 //! are ΔS), so no `Shape` is ever cloned into a side table, and simplified
 //! TGDs are deduplicated through a structural-hash bucket index into the
 //! output vector instead of a `HashSet<Tgd>` of clones.
+//!
+//! The loop can pause between frontier shapes (`Fixpoint`), which is how
+//! Algorithm 3's verdict path looks for a special cycle in the partial
+//! simplification before the fixpoint is reached.
 
 use soct_model::fxhash::FxBuildHasher;
 use soct_model::simplify::{h_specialization, simplify_tgd, ShapeInterner};
@@ -49,76 +53,152 @@ impl DynSimplification {
 }
 
 /// Runs Algorithm 2 on `tgds` (which must all be linear) with the initial
-/// shape set `shape(D)`.
+/// shape set `shape(D)`, always to its fixpoint: the closure sizes it
+/// returns are what Figures 5–7, the simplification ablations and the
+/// materialization oracle report and consume. Algorithm 3's verdict path
+/// ([`crate::check_l_early_exit`]) runs the same loop in steps instead, and
+/// may stop before the fixpoint.
 pub fn dyn_simplification(
     base_schema: &Schema,
     tgds: &[Tgd],
     db_shapes: &[Shape],
 ) -> DynSimplification {
-    debug_assert!(tgds.iter().all(Tgd::is_linear));
-    // §5.4: index the TGDs by their body predicate.
-    let mut by_body_pred: FxHashMap<PredId, Vec<u32>> = FxHashMap::default();
-    for (i, t) in tgds.iter().enumerate() {
-        by_body_pred
-            .entry(t.body()[0].pred)
-            .or_default()
-            .push(i as u32);
+    let mut fixpoint = Fixpoint::new(base_schema, tgds, db_shapes);
+    fixpoint.run(usize::MAX);
+    fixpoint.finish()
+}
+
+/// Algorithm 2's loop, resumable between frontier shapes.
+///
+/// Frontier shapes are processed one at a time in interned-id order, which
+/// is the order the rounds of Algorithm 2 visit them in: round *k*'s ΔS is
+/// the id range interned during round *k − 1*. [`Fixpoint::run`] returns
+/// early once the simplified set reaches a size, so a caller can look at
+/// the partial `simple_D(Σ)` and decide whether to go on; every prefix it
+/// sees is a prefix of the full run's output, in the same order.
+pub(crate) struct Fixpoint<'a> {
+    base_schema: &'a Schema,
+    tgds: &'a [Tgd],
+    /// §5.4: the TGDs indexed by their body predicate.
+    by_body_pred: FxHashMap<PredId, Vec<u32>>,
+    interner: ShapeInterner,
+    out_tgds: Vec<Tgd>,
+    /// Simplified-TGD dedup without cloning: structural hash → indices into
+    /// `out_tgds` sharing it; collision chains compare the actual TGDs, so
+    /// the output is exact (same order, same set) with no `Tgd` clones.
+    out_seen: FxHashMap<u64, Vec<u32>>,
+    /// Next shape id to process: ids below it are done, and ids from it up
+    /// to `round_end` are what is left of the current round's frontier ΔS.
+    next: usize,
+    /// End of the current round's frontier; ids past it were interned
+    /// during the round and form the next one.
+    round_end: usize,
+    iterations: usize,
+}
+
+impl<'a> Fixpoint<'a> {
+    /// S ← FindShapes(D); ΔS ← S. The interner's dense id sequence is the
+    /// seen-set: interning database shapes up front also makes simple(D)'s
+    /// predicates part of the derived schema even when no TGD fires on
+    /// them.
+    pub(crate) fn new(base_schema: &'a Schema, tgds: &'a [Tgd], db_shapes: &[Shape]) -> Self {
+        debug_assert!(tgds.iter().all(Tgd::is_linear));
+        let mut by_body_pred: FxHashMap<PredId, Vec<u32>> = FxHashMap::default();
+        for (i, t) in tgds.iter().enumerate() {
+            by_body_pred
+                .entry(t.body()[0].pred)
+                .or_default()
+                .push(i as u32);
+        }
+        let mut interner = ShapeInterner::new();
+        for s in db_shapes {
+            interner.intern(s.clone(), base_schema);
+        }
+        Fixpoint {
+            base_schema,
+            tgds,
+            by_body_pred,
+            interner,
+            out_tgds: Vec::new(),
+            out_seen: FxHashMap::default(),
+            next: 0,
+            round_end: 0,
+            iterations: 0,
+        }
     }
 
-    let mut interner = ShapeInterner::new();
-    let mut out_tgds: Vec<Tgd> = Vec::new();
-    // Simplified-TGD dedup without cloning: structural hash → indices into
-    // `out_tgds` sharing it; collision chains compare the actual TGDs, so
-    // the output is exact (same order, same set) with no `Tgd` clones.
-    let hasher = FxBuildHasher::default();
-    let mut out_seen: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-
-    // S ← FindShapes(D); ΔS ← S. The interner's dense id sequence is the
-    // seen-set: interning database shapes up front also makes simple(D)'s
-    // predicates part of the derived schema even when no TGD fires on them.
-    for s in db_shapes {
-        interner.intern(s.clone(), base_schema);
-    }
-
-    let mut iterations = 0usize;
-    let mut delta = 0..interner.len();
-    while !delta.is_empty() {
-        iterations += 1;
-        let next_start = delta.end;
-        // Σ_aux ← Applicable(ΔS, Σ). Head shapes are interned inside
-        // `simplify_tgd`, so new ids land past `next_start` and form the
-        // next frontier with no explicit ΔS list.
-        for sid in delta {
-            let shape_pred = interner.origin(PredId(sid as u32)).pred;
-            let Some(tgd_ids) = by_body_pred.get(&shape_pred) else {
+    /// Processes frontier shapes until the fixpoint (returns `true`) or
+    /// until the simplified set holds at least `limit` TGDs (returns
+    /// `false`; the shape being processed is finished first).
+    pub(crate) fn run(&mut self, limit: usize) -> bool {
+        let hasher = FxBuildHasher::default();
+        while self.next < self.interner.len() {
+            if self.next == self.round_end {
+                // ΔS ← S_aux \ S; S ← S ∪ ΔS: the shapes interned during
+                // the previous round are this round's frontier.
+                self.iterations += 1;
+                self.round_end = self.interner.len();
+            }
+            // Σ_aux ← Applicable(ΔS, Σ). Head shapes are interned inside
+            // `simplify_tgd`, so new ids land past `round_end` and form the
+            // next frontier with no explicit ΔS list.
+            let sid = PredId(self.next as u32);
+            self.next += 1;
+            let shape_pred = self.interner.origin(sid).pred;
+            let Some(tgd_ids) = self.by_body_pred.get(&shape_pred) else {
                 continue;
             };
             // Copy out the frontier shape's rgs (an inline word for arity
             // ≤ 16) so `simplify_tgd` can borrow the interner mutably.
-            let rgs = interner.origin(PredId(sid as u32)).rgs.clone();
+            let rgs = self.interner.origin(sid).rgs.clone();
             for &ti in tgd_ids {
-                let tgd = &tgds[ti as usize];
+                let tgd = &self.tgds[ti as usize];
                 let Some(spec) = h_specialization(&tgd.body()[0].terms, &rgs) else {
                     continue;
                 };
-                let simplified = simplify_tgd(&mut interner, base_schema, tgd, &spec);
+                let simplified = simplify_tgd(&mut self.interner, self.base_schema, tgd, &spec);
                 let h = hasher.hash_one(&simplified);
-                let bucket = out_seen.entry(h).or_default();
-                if !bucket.iter().any(|&i| out_tgds[i as usize] == simplified) {
-                    bucket.push(out_tgds.len() as u32);
-                    out_tgds.push(simplified);
+                let bucket = self.out_seen.entry(h).or_default();
+                if !bucket
+                    .iter()
+                    .any(|&i| self.out_tgds[i as usize] == simplified)
+                {
+                    bucket.push(self.out_tgds.len() as u32);
+                    self.out_tgds.push(simplified);
                 }
             }
+            if self.out_tgds.len() >= limit && self.next < self.interner.len() {
+                return false;
+            }
         }
-        // ΔS ← S_aux \ S; S ← S ∪ ΔS.
-        delta = next_start..interner.len();
+        true
     }
 
-    DynSimplification {
-        tgds: out_tgds,
-        shapes_derived: interner.len(),
-        interner,
-        iterations,
+    /// The simplified TGDs so far.
+    pub(crate) fn tgds(&self) -> &[Tgd] {
+        &self.out_tgds
+    }
+
+    /// The derived schema so far: every shape interned up to now,
+    /// processed or not.
+    pub(crate) fn schema(&self) -> &Schema {
+        self.interner.schema()
+    }
+
+    /// Shapes interned so far, the database's own included.
+    pub(crate) fn shapes_derived(&self) -> usize {
+        self.interner.len()
+    }
+
+    /// The simplification reached so far: all of `simple_D(Σ)` once `run`
+    /// has returned `true`.
+    pub(crate) fn finish(self) -> DynSimplification {
+        DynSimplification {
+            tgds: self.out_tgds,
+            shapes_derived: self.interner.len(),
+            interner: self.interner,
+            iterations: self.iterations,
+        }
     }
 }
 
@@ -260,6 +340,37 @@ mod tests {
         let d = dyn_simplification(&schema, &[tgd], &[id_shape(r, &[1])]);
         assert_eq!(d.tgds.len(), 1);
         assert_eq!(d.shapes_derived, 2);
+    }
+
+    #[test]
+    fn stepping_the_fixpoint_changes_nothing() {
+        // Pausing whenever the simplified set reaches a size yields
+        // prefixes of the one-step output, and the same closure.
+        let mut schema = Schema::new();
+        let r = schema.add_predicate("r", 4).unwrap();
+        let atom = |ts: &[u32]| Atom::new(&schema, r, ts.iter().map(|&i| v(i)).collect()).unwrap();
+        let tgds = vec![
+            Tgd::new(vec![atom(&[0, 1, 2, 3])], vec![atom(&[1, 0, 2, 3])]).unwrap(),
+            Tgd::new(vec![atom(&[0, 1, 2, 3])], vec![atom(&[1, 2, 3, 0])]).unwrap(),
+            Tgd::new(vec![atom(&[0, 1, 2, 3])], vec![atom(&[0, 0, 2, 3])]).unwrap(),
+        ];
+        let db = [id_shape(r, &[1, 2, 3, 4])];
+        let whole = dyn_simplification(&schema, &tgds, &db);
+        assert_eq!(whole.shapes_derived, 15, "Bell(4)");
+        for step in [1, 2, 5] {
+            let mut fixpoint = Fixpoint::new(&schema, &tgds, &db);
+            let mut limit = step;
+            while !fixpoint.run(limit) {
+                let n = fixpoint.tgds().len();
+                assert!(n >= limit && n <= whole.tgds.len());
+                assert_eq!(fixpoint.tgds(), &whole.tgds[..n]);
+                limit = n + step;
+            }
+            let stepped = fixpoint.finish();
+            assert_eq!(stepped.tgds, whole.tgds);
+            assert_eq!(stepped.shapes_derived, whole.shapes_derived);
+            assert_eq!(stepped.iterations, whole.iterations);
+        }
     }
 
     #[test]

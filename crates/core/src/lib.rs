@@ -27,8 +27,8 @@ pub use cache::{
     CacheKey, CacheStats, CachedCheck, VerdictCache,
 };
 pub use check_l::{
-    check_l_with_shapes, is_chase_finite_l, is_chase_finite_l_parallel, is_chase_finite_l_text,
-    LCheckReport,
+    check_l_early_exit, check_l_with_shapes, is_chase_finite_l, is_chase_finite_l_parallel,
+    is_chase_finite_l_text, LCheckReport,
 };
 pub use check_sl::{
     derivable_predicates, is_chase_finite_sl, is_chase_finite_sl_source, is_chase_finite_sl_text,
@@ -41,6 +41,6 @@ pub use find_shapes::{
 };
 pub use oracle::{
     check_termination, check_termination_engine, check_termination_threads, materialization_check,
-    TerminationReport, Verdict,
+    CheckRun, TerminationReport, Verdict,
 };
 pub use timings::{ms, CacheTimings, LTimings, SlTimings};

@@ -2,15 +2,17 @@
 //! linear TGDs (simplify first, then bound — see `soct-chase::bounds`), and
 //! an auto-dispatching front door over the three TGD classes.
 
-use crate::check_sl::{derivable_predicates, is_chase_finite_sl};
+use crate::check_l::{check_l_early_exit, LCheckReport};
+use crate::check_sl::{is_chase_finite_sl, weak_acyclicity, SlCheckReport};
 use crate::dynsimpl::dyn_simplification;
-use crate::find_shapes::FindShapesMode;
+use crate::find_shapes::{FindShapesMode, ShapesReport};
 use soct_chase::{is_chase_finite_materialization, MaterializationReport};
-use soct_graph::{find_special_sccs, supports, DependencyGraph};
 use soct_model::shape::shapes_of_instance;
 use soct_model::simplify::simplify_instance;
-use soct_model::{FxHashSet, Instance, PredId, Schema, Shape, Tgd, TgdClass};
-use soct_storage::{InstanceSource, StorageEngine, TupleSource};
+use soct_model::{FxHashSet, Instance, PredId, Schema, Tgd, TgdClass};
+use soct_obs::Phases;
+use soct_storage::{InstanceSource, ShapeCatalog, ShapeQueryStats, StorageEngine, TupleSource};
+use std::time::Duration;
 
 /// Materialization-based termination check, complete for simple-linear and
 /// linear TGDs (§1.4). Linear sets are dynamically simplified first so the
@@ -60,13 +62,32 @@ pub enum Verdict {
     Unknown,
 }
 
-/// Combined report of the auto-dispatching checker.
+/// Combined report of the auto-dispatching checker: the verdict, the class
+/// it dispatched on, and the phases and counters of the one run that
+/// reached the verdict, so a caller that prints a breakdown never has to
+/// run a checker twice.
 #[derive(Clone, Debug)]
 pub struct TerminationReport {
     /// The verdict reached.
     pub verdict: Verdict,
     /// The class the input was dispatched on.
     pub class: TgdClass,
+    /// What the checker did to reach the verdict.
+    pub run: CheckRun,
+}
+
+/// The checker run behind a [`TerminationReport`].
+#[derive(Clone, Debug)]
+pub enum CheckRun {
+    /// A verdict cache answered; no checker ran.
+    Cached,
+    /// Algorithm 1's dependency-graph test: `IsChaseFinite[SL]` for
+    /// simple-linear sets, and the D-weak-acyclicity test it amounts to on
+    /// general sets (`supported` then means [`Verdict::Unknown`]).
+    Sl(SlCheckReport),
+    /// Algorithm 3 with the early exit ([`crate::check_l_early_exit`]),
+    /// with `t_shapes` and the FindShapes counters filled in.
+    L(LCheckReport),
 }
 
 /// Checks semi-oblivious chase termination, dispatching on the TGD class:
@@ -114,6 +135,12 @@ pub fn check_termination(
 /// fanned out over worker threads (`threads` as in
 /// [`soct_chase::resolve_threads`]; `0` = auto). The verdict is identical
 /// for every thread count.
+///
+/// The instance is read once, into the view its class needs (the non-empty
+/// predicates, or `shape(D)` timed as the `shapes` phase), and the view
+/// dispatches exactly as for [`check_termination_engine`]. Linear sets take
+/// Algorithm 3's early exit, so an Infinite report may carry partial
+/// simplification counts (`LCheckReport::stopped_early`).
 pub fn check_termination_threads(
     schema: &Schema,
     tgds: &[Tgd],
@@ -122,44 +149,8 @@ pub fn check_termination_threads(
     threads: usize,
 ) -> TerminationReport {
     let class = soct_model::tgd::classify(tgds);
-    let verdict = match class {
-        TgdClass::SimpleLinear => {
-            let db_preds: FxHashSet<PredId> = db.non_empty_predicates().into_iter().collect();
-            if is_chase_finite_sl(schema, tgds, &db_preds).finite {
-                Verdict::Finite
-            } else {
-                Verdict::Infinite
-            }
-        }
-        TgdClass::Linear => {
-            let src = InstanceSource::new(schema, db);
-            if crate::check_l::is_chase_finite_l_parallel(schema, tgds, &src, mode, threads).finite
-            {
-                Verdict::Finite
-            } else {
-                Verdict::Infinite
-            }
-        }
-        TgdClass::General => {
-            // D-weak-acyclicity: sufficient for termination of any TGD set.
-            let graph = DependencyGraph::build(schema, tgds);
-            let scc = find_special_sccs(&graph);
-            let reps = scc.special_representatives();
-            let supported = if reps.is_empty() {
-                false
-            } else {
-                let db_preds: FxHashSet<PredId> = db.non_empty_predicates().into_iter().collect();
-                let derivable = derivable_predicates(tgds, &db_preds);
-                supports(&graph, schema, &reps, |p| derivable.contains(&p))
-            };
-            if supported {
-                Verdict::Unknown
-            } else {
-                Verdict::Finite
-            }
-        }
-    };
-    TerminationReport { verdict, class }
+    let src = InstanceSource::new(schema, db);
+    DbView::of_source(&src, None, class, mode, threads).check(schema, tgds)
 }
 
 /// [`check_termination_threads`] against a live [`StorageEngine`] instead
@@ -184,72 +175,99 @@ pub fn check_termination_engine(
 /// What a termination check reads of a database, per class: the
 /// non-empty predicates for Algorithm 1 and the D-weak-acyclicity test,
 /// `shape(D)` for Algorithm 3 (§4, §5). It is owned, so a caller can copy
-/// it from under a lock and check it after releasing the lock.
+/// it from under a lock and check it after releasing it.
 #[derive(Debug)]
 pub(crate) enum DbView {
     SimpleLinear(FxHashSet<PredId>),
-    Linear(Vec<Shape>),
+    /// `shape(D)` with FindShapes' counters, and the time it took to find
+    /// or copy (the `shapes` phase).
+    Linear(ShapesReport, Duration),
     General(FxHashSet<PredId>),
 }
 
 impl DbView {
-    /// Copies the view a `class` ruleset reads out of `engine`. `shape(D)`
-    /// comes from the maintained catalog when the engine tracks shapes,
-    /// and from one `FindShapes` scan in `mode` otherwise; the non-empty
-    /// predicates come from the table directory.
+    /// Copies the view a `class` ruleset reads out of `engine`: `shape(D)`
+    /// from the maintained catalog when the engine tracks shapes.
     pub(crate) fn of_engine(
         engine: &StorageEngine,
         class: TgdClass,
         mode: FindShapesMode,
         threads: usize,
     ) -> Self {
-        let preds = || engine.non_empty_predicates().into_iter().collect();
+        Self::of_source(engine, engine.shape_catalog(), class, mode, threads)
+    }
+
+    /// Reads the view a `class` ruleset needs out of `src`. `shape(D)`
+    /// comes from `catalog` when given, and from one `FindShapes` run in
+    /// `mode` otherwise; the non-empty predicates come from the source's
+    /// directory.
+    fn of_source(
+        src: &(dyn TupleSource + Sync),
+        catalog: Option<&ShapeCatalog>,
+        class: TgdClass,
+        mode: FindShapesMode,
+        threads: usize,
+    ) -> Self {
+        let preds = || src.non_empty_predicates().into_iter().collect();
         match class {
             TgdClass::SimpleLinear => DbView::SimpleLinear(preds()),
-            TgdClass::Linear => DbView::Linear(match engine.shape_catalog() {
-                Some(cat) => cat.shapes(),
-                None => crate::find_shapes::find_shapes_parallel(engine, mode, threads).shapes,
-            }),
+            TgdClass::Linear => {
+                let mut phases = Phases::new();
+                let shapes = phases.run("shapes", || match catalog {
+                    Some(cat) => ShapesReport {
+                        shapes: cat.shapes(),
+                        stats: ShapeQueryStats::default(),
+                        tuples_scanned: 0,
+                    },
+                    None => crate::find_shapes::find_shapes_parallel(src, mode, threads),
+                });
+                DbView::Linear(shapes, phases.duration("shapes"))
+            }
             TgdClass::General => DbView::General(preds()),
         }
     }
 
-    /// Decides termination of `tgds` on the database the view was copied
-    /// from, with the same verdict as [`check_termination_engine`].
+    /// Decides termination of `tgds` on the database the view was read
+    /// from: the one dispatch behind every `check_termination*` function.
     pub(crate) fn check(&self, schema: &Schema, tgds: &[Tgd]) -> TerminationReport {
-        let finite = |f: bool| {
-            if f {
+        let decided = |finite: bool| {
+            if finite {
                 Verdict::Finite
             } else {
                 Verdict::Infinite
             }
         };
-        let (verdict, class) = match self {
-            DbView::SimpleLinear(preds) => (
-                finite(is_chase_finite_sl(schema, tgds, preds).finite),
-                TgdClass::SimpleLinear,
-            ),
-            DbView::Linear(shapes) => (
-                finite(crate::check_l::check_l_with_shapes(schema, tgds, shapes).finite),
-                TgdClass::Linear,
-            ),
+        let (verdict, class, run) = match self {
+            DbView::SimpleLinear(preds) => {
+                let rep = is_chase_finite_sl(schema, tgds, preds);
+                (
+                    decided(rep.finite),
+                    TgdClass::SimpleLinear,
+                    CheckRun::Sl(rep),
+                )
+            }
+            DbView::Linear(shapes, t_shapes) => {
+                let rep = check_l_early_exit(schema, tgds, &shapes.shapes)
+                    .with_find_shapes(shapes, *t_shapes);
+                (decided(rep.finite), TgdClass::Linear, CheckRun::L(rep))
+            }
             DbView::General(preds) => {
-                // D-weak-acyclicity: sufficient for termination of any TGD set.
-                let graph = DependencyGraph::build(schema, tgds);
-                let reps = find_special_sccs(&graph).special_representatives();
-                let supported = !reps.is_empty() && {
-                    let derivable = derivable_predicates(tgds, preds);
-                    supports(&graph, schema, &reps, |p| derivable.contains(&p))
-                };
-                let verdict = if supported {
-                    Verdict::Unknown
-                } else {
+                // D-weak-acyclicity: sufficient for termination of any TGD
+                // set, and inconclusive when it fails.
+                let rep = weak_acyclicity(schema, tgds, preds);
+                let verdict = if rep.finite {
                     Verdict::Finite
+                } else {
+                    Verdict::Unknown
                 };
-                (verdict, TgdClass::General)
+                (verdict, TgdClass::General, CheckRun::Sl(rep))
             }
         };
-        TerminationReport { verdict, class }
+        TerminationReport {
+            verdict,
+            class,
+            run,
+        }
     }
 }
 

@@ -253,7 +253,10 @@ pub fn lubm_like(scale: usize, atom_scale: f64, seed: u64) -> Scenario {
     let classes = make_predicates(&mut schema, "Class", 60, 1, 1, &mut rng);
     let props = make_predicates(&mut schema, "prop", 44, 2, 2, &mut rng);
 
-    // 137 EL-style axioms, acyclic by class/property layering.
+    // 137 EL-style axioms. Classes 40–53 carry the existential axioms,
+    // whose nulls land in properties 21–34; no axiom leads from those
+    // properties back up to class 40, so dg(Σ) has no special cycle and
+    // the chase is finite on every database, as for the paper's LUBM.
     let mut tgds: Vec<Tgd> = Vec::with_capacity(137);
     let v0 = Term::Var(VarId(0));
     let v1 = Term::Var(VarId(1));
@@ -279,7 +282,9 @@ pub fn lubm_like(scale: usize, atom_scale: f64, seed: u64) -> Scenario {
             &mut tgds,
         );
     }
-    // 22 domain + 22 range axioms.
+    // 22 domain + 22 range axioms. A range axiom moves the second
+    // argument, so on the existential axioms' properties it must name a
+    // class below 40: the class hierarchy only leads further down.
     for i in 0..22 {
         let c = classes[rng.random_range(0..60usize)];
         push(
@@ -287,15 +292,20 @@ pub fn lubm_like(scale: usize, atom_scale: f64, seed: u64) -> Scenario {
             Atom::new(&schema, c, vec![v0]).unwrap(),
             &mut tgds,
         );
-        let c2 = classes[rng.random_range(0..60usize)];
+        let range_classes: usize = if (21..35).contains(&(i * 2 + 1)) {
+            40
+        } else {
+            60
+        };
+        let c2 = classes[rng.random_range(0..range_classes)];
         push(
             Atom::new(&schema, props[i * 2 + 1], vec![v0, v1]).unwrap(),
             Atom::new(&schema, c2, vec![v1]).unwrap(),
             &mut tgds,
         );
     }
-    // 14 existential axioms A ⊑ ∃P (classes high in the id order point to
-    // late properties: keeps the dependency graph acyclic).
+    // 14 existential axioms A ⊑ ∃P: classes 40–53 point to properties
+    // 21–34.
     for i in 0..14 {
         let c = classes[40 + i];
         let p = props[21 + i];

@@ -26,6 +26,24 @@ fn all_scenarios_check_finite_with_both_findshapes_modes() {
 }
 
 #[test]
+fn lubm_like_has_no_special_cycle_on_any_seed() {
+    // The paper's LUBM is Finite (Table 2). The stand-in's existential
+    // axioms must never feed their nulls back into an existential class:
+    // dg(Σ) has no special SCC, so the chase is finite on every database.
+    for seed in 0..400 {
+        let s = lubm_like(1, 0.0003, seed);
+        let graph = DependencyGraph::build(&s.schema, &s.tgds);
+        assert!(
+            !find_special_sccs(&graph).has_special_scc(),
+            "seed {seed}: special SCC in dg(Σ)"
+        );
+        assert_eq!(s.stats.n_pred, 104, "seed {seed}");
+        assert_eq!(s.stats.n_rules, 137, "seed {seed}");
+        assert_eq!(s.stats.n_shapes, 30, "seed {seed}");
+    }
+}
+
+#[test]
 fn scenario_engines_persist_and_reload() {
     let s = lubm_like(1, 0.005, 9);
     let bytes = soct::storage::persist::to_bytes(&s.engine);
