@@ -1,8 +1,9 @@
 //! Subcommand implementations.
 
 use crate::args::Args;
-use soct_core::{check_termination_threads, ms, CheckRun, FindShapesMode, Verdict};
+use soct_core::{check_termination_threads, ms, CheckRun, DbView, FindShapesMode, Verdict};
 use soct_model::{Database, Instance, Interner, Schema, TgdClass};
+use soct_obs::Phases;
 use soct_storage::InstanceSource;
 use std::time::Instant;
 
@@ -47,19 +48,35 @@ fn write_trace(session: soct_obs::TraceSession, path: &str) -> Result<(), String
     Ok(())
 }
 
-/// Loads rules and (optionally) a fact file over one shared vocabulary.
-fn load_program(args: &Args) -> Result<(Schema, Interner, Vec<soct_model::Tgd>, Database), String> {
+/// Parses `--rules` into a fresh vocabulary.
+fn load_rules(args: &Args) -> Result<(Schema, Interner, Vec<soct_model::Tgd>), String> {
     let rules_path = args.require("rules")?;
     let mut schema = Schema::new();
     let mut consts = Interner::new();
     let tgds = soct_parser::parse_tgds(&read(rules_path)?, &mut schema, &mut consts)
         .map_err(|e| format!("{rules_path}: {e}"))?;
-    let db = match args.get("db") {
-        Some(db_path) => soct_parser::parse_facts(&read(db_path)?, &mut schema, &mut consts)
-            .map_err(|e| format!("{db_path}: {e}"))?,
-        // D_Σ (Remark 1): one atom per predicate, distinct constants.
-        None => soct_serve::critical_instance(&schema, &tgds, &mut consts),
-    };
+    Ok((schema, consts, tgds))
+}
+
+/// Loads `--db` over the rules' vocabulary, or D_Σ (Remark 1: one atom per
+/// predicate, distinct constants) without one.
+fn load_db(
+    args: &Args,
+    schema: &mut Schema,
+    consts: &mut Interner,
+    tgds: &[soct_model::Tgd],
+) -> Result<Database, String> {
+    match args.get("db") {
+        Some(db_path) => soct_parser::parse_facts(&read(db_path)?, schema, consts)
+            .map_err(|e| format!("{db_path}: {e}")),
+        None => Ok(soct_serve::critical_instance(schema, tgds, consts)),
+    }
+}
+
+/// Loads rules and (optionally) a fact file over one shared vocabulary.
+fn load_program(args: &Args) -> Result<(Schema, Interner, Vec<soct_model::Tgd>, Database), String> {
+    let (mut schema, mut consts, tgds) = load_rules(args)?;
+    let db = load_db(args, &mut schema, &mut consts, &tgds)?;
     Ok((schema, consts, tgds, db))
 }
 
@@ -70,26 +87,66 @@ fn threads_of(args: &Args) -> Result<usize, String> {
     args.get_usize("threads", 0)
 }
 
+/// What `soct check` checks the rules against.
+enum CheckDb<'a> {
+    /// A database loaded into an `Instance`: `--db` of a linear set in
+    /// `--mode db`, or D_Σ without `--db`.
+    Loaded(Database),
+    /// A facts file to read as shapes only: its path and text.
+    Facts(&'a str, String),
+}
+
 /// `soct check`.
+///
+/// A checker reads of the database only what its class needs: `shape(D)`
+/// or the non-empty predicates. So `--db` is read as shapes, with no
+/// `Instance`, and the read is timed as FindShapes (`t-shapes`). A linear
+/// set in `--mode db` loads the facts instead, for the in-database
+/// FindShapes; without `--db` the check runs on D_Σ.
 pub fn check(args: &Args) -> Result<(), String> {
-    let (schema, _consts, tgds, db) = load_program(args)?;
+    let (mut schema, mut consts, tgds) = load_rules(args)?;
     let mode = mode_of(args)?;
     let threads = threads_of(args)?;
+    let class = soct_model::tgd::classify(&tgds);
+    let db = match args.get("db") {
+        Some(path) if class != TgdClass::Linear || mode == FindShapesMode::InMemory => {
+            CheckDb::Facts(path, read(path)?)
+        }
+        _ => CheckDb::Loaded(load_db(args, &mut schema, &mut consts, &tgds)?),
+    };
     let trace = trace_session_of(args);
     let t0 = Instant::now();
-    let report = {
+    let (report, (size_label, size), t_read) = {
         let _span = soct_obs::span("check");
-        check_termination_threads(&schema, &tgds, &db, mode, threads)
+        match &db {
+            CheckDb::Loaded(db) => (
+                check_termination_threads(&schema, &tgds, db, mode, threads),
+                ("db-atoms", db.len()),
+                None,
+            ),
+            CheckDb::Facts(path, text) => {
+                let mut phases = Phases::new();
+                let read = phases
+                    .run("shapes", || soct_parser::read_shapes(text, &mut schema))
+                    .map_err(|e| format!("{path}: {e}"))?;
+                let t_read = phases.duration("shapes");
+                let view = DbView::of_shapes(class, read.shapes, t_read);
+                (
+                    view.check(&schema, &tgds),
+                    ("db-facts", read.facts),
+                    Some(t_read),
+                )
+            }
+        }
     };
     let elapsed = t0.elapsed();
     if let Some((session, path)) = trace {
         write_trace(session, path)?;
     }
     println!(
-        "class: {}  rules: {}  db-atoms: {}",
+        "class: {}  rules: {}  {size_label}: {size}",
         report.class,
-        tgds.len(),
-        db.len()
+        tgds.len()
     );
     match report.verdict {
         Verdict::Finite => println!("verdict: FINITE (chase terminates)"),
@@ -103,11 +160,13 @@ pub fn check(args: &Args) -> Result<(), String> {
     if args.get_bool("quiet") {
         return Ok(());
     }
-    // The breakdown of the run timed above.
+    // The breakdown of the run timed above. Algorithm 1's line starts
+    // with the read when a facts file was read for its predicates.
     match &report.run {
         CheckRun::Sl(rep) => println!(
-            "breakdown: t-graph {:.3} ms | t-comp {:.3} ms | t-supports {:.3} ms \
+            "breakdown: {}t-graph {:.3} ms | t-comp {:.3} ms | t-supports {:.3} ms \
              | graph {} nodes / {} edges ({} special) | special SCCs: {}",
+            t_read.map_or(String::new(), |t| format!("t-shapes {:.3} ms | ", ms(t))),
             ms(rep.timings.t_graph),
             ms(rep.timings.t_comp),
             ms(rep.timings.t_supports),
@@ -118,11 +177,12 @@ pub fn check(args: &Args) -> Result<(), String> {
         ),
         CheckRun::L(rep) => println!(
             "breakdown: t-shapes {:.3} ms | t-graph {:.3} ms | t-comp {:.3} ms \
-             | db-shapes {} | derived shapes {} | simplified rules {}{}",
+             | db-shapes {} | admitted {} | derived shapes {} | simplified rules {}{}",
             ms(rep.timings.t_shapes),
             ms(rep.timings.t_graph),
             ms(rep.timings.t_comp),
             rep.n_db_shapes,
+            rep.db_shapes_admitted,
             rep.shapes_derived,
             rep.n_simplified_tgds,
             if rep.stopped_early {

@@ -103,6 +103,13 @@ const CLIENT_JOB_FLAGS: &[&str] = &[
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
+    // An offline subcommand whose reader goes away (`soct shapes … | head`)
+    // ends quietly, as other Unix filters do, instead of panicking on the
+    // failed write. `serve` and `client` keep SIGPIPE ignored: their
+    // sockets report a vanished peer as an `EPIPE` error.
+    if !matches!(argv.first().map(String::as_str), Some("serve" | "client")) {
+        sigpipe::restore_default();
+    }
     let code = match run(&argv) {
         Ok(()) => 0,
         Err(e) => {
@@ -111,6 +118,40 @@ fn main() {
         }
     };
     std::process::exit(code);
+}
+
+#[cfg(unix)]
+#[allow(unsafe_code)] // audited FFI: restoring one signal's default disposition
+mod sigpipe {
+    /// `SIGPIPE` and `SIG_DFL` have these values on every Unix std supports.
+    const SIGPIPE: core::ffi::c_int = 13;
+    const SIG_DFL: usize = 0;
+
+    mod ffi {
+        extern "C" {
+            /// `signal(2)` from the platform libc that `std` already links;
+            /// the handler is passed as a plain address, as in
+            /// `soct_serve`'s shutdown handler.
+            pub(super) fn signal(signum: core::ffi::c_int, handler: usize) -> usize;
+        }
+    }
+
+    /// Puts `SIGPIPE` back to its default action, ending the process,
+    /// which the Rust runtime replaces with "ignore" before `main`.
+    pub(super) fn restore_default() {
+        // SAFETY: `SIG_DFL` is a valid disposition for `SIGPIPE`; the call
+        // runs before any thread is spawned and touches no memory owned by
+        // Rust.
+        unsafe {
+            ffi::signal(SIGPIPE, SIG_DFL);
+        }
+    }
+}
+
+#[cfg(not(unix))]
+mod sigpipe {
+    /// No `SIGPIPE` to restore off Unix.
+    pub(super) fn restore_default() {}
 }
 
 fn run(argv: &[String]) -> Result<(), String> {

@@ -22,6 +22,14 @@
 //! probes add at most about twice the final graph's build and SCC work.
 //! [`check_l_with_shapes`] and the `is_chase_finite_l*` functions keep the
 //! full fixpoint: their closure sizes are what the figures report.
+//!
+//! DynSimplification is also monotone in `shape(D)`: the shapes and rules
+//! it derives from part of the database are part of what it derives from
+//! all of it. So [`check_l_early_exit`] admits the database's shapes
+//! lazily too, [`FIRST_BATCH`] of them first and twice as many each time
+//! the frontier runs out, and the partial graph stays a subgraph of
+//! `dg(simple_D(Σ))`. A Finite verdict is reached only after every
+//! database shape has been admitted.
 
 use crate::dynsimpl::Fixpoint;
 use crate::find_shapes::{find_shapes, FindShapesMode, ShapesReport};
@@ -36,6 +44,11 @@ use std::time::Duration;
 /// for a special cycle; it looks again whenever the set has doubled since.
 pub const FIRST_PROBE: usize = 64;
 
+/// Number of database shapes [`check_l_early_exit`] admits before its
+/// first step; each later admission, made when the frontier runs out,
+/// takes twice as many as the one before.
+pub const FIRST_BATCH: usize = 1;
+
 /// Report of one `IsChaseFinite[L]` run.
 #[derive(Clone, Debug)]
 pub struct LCheckReport {
@@ -45,6 +58,9 @@ pub struct LCheckReport {
     pub timings: LTimings,
     /// `|shape(D)|` (the `n-shapes` statistic of Table 1).
     pub n_db_shapes: usize,
+    /// Database shapes admitted to the fixpoint: all `n_db_shapes` unless
+    /// [`check_l_early_exit`] stopped before it needed the rest.
+    pub db_shapes_admitted: usize,
     /// `|Σ(shape(D))|`: shapes reached by the fixpoint.
     pub shapes_derived: usize,
     /// `|simple_D(Σ)|`.
@@ -118,38 +134,45 @@ pub fn is_chase_finite_l_parallel(
 /// `simple_D(Σ)`. For the verdict alone, [`check_l_early_exit`] is faster
 /// on Infinite sets.
 pub fn check_l_with_shapes(schema: &Schema, tgds: &[Tgd], db_shapes: &[Shape]) -> LCheckReport {
-    check_l_probed(schema, tgds, db_shapes, usize::MAX)
+    check_l_probed(schema, tgds, db_shapes, usize::MAX, usize::MAX)
 }
 
 /// [`check_l_with_shapes`] that stops at the first special cycle: the
 /// verdict path behind [`crate::check_termination`] and its siblings.
 ///
+/// Database shapes are admitted lazily, in `db_shapes` order: the first
+/// [`FIRST_BATCH`], then twice as many whenever the frontier runs out.
 /// Every time the simplified set has doubled (from [`FIRST_PROBE`] rules
 /// on), the fixpoint pauses and the dependency graph of the partial set is
 /// searched for a special SCC; one found proves the chase infinite (see the
 /// module docs), and the report then carries the partial counts with
-/// `stopped_early` set. Otherwise the fixpoint's own graph decides, and
-/// the verdict and every count equal [`check_l_with_shapes`]'s. Each pause
-/// records its own `graph` and `comp` phases.
+/// `stopped_early` set. Otherwise the fixpoint's own graph decides once
+/// every database shape is in, and the verdict, `shapes_derived`,
+/// `n_simplified_tgds` and the graph's node and edge counts equal
+/// [`check_l_with_shapes`]'s. Each pause records its own `graph` and
+/// `comp` phases.
 pub fn check_l_early_exit(schema: &Schema, tgds: &[Tgd], db_shapes: &[Shape]) -> LCheckReport {
-    check_l_probed(schema, tgds, db_shapes, FIRST_PROBE)
+    check_l_probed(schema, tgds, db_shapes, FIRST_PROBE, FIRST_BATCH)
 }
 
 /// Algorithm 3, pausing the fixpoint for a special-cycle probe once the
 /// simplified set holds `first_probe` rules and after every doubling since
-/// (`usize::MAX`: never before the fixpoint).
+/// (`usize::MAX`: never before the fixpoint), and admitting `first_batch`
+/// database shapes at its first step (`usize::MAX`: all of them).
 fn check_l_probed(
     schema: &Schema,
     tgds: &[Tgd],
     db_shapes: &[Shape],
     first_probe: usize,
+    first_batch: usize,
 ) -> LCheckReport {
     let mut phases = Phases::new();
     let mut fixpoint: Option<Fixpoint> = None;
     let mut limit = first_probe;
     loop {
         let (done, graph) = phases.run("graph", || {
-            let fixpoint = fixpoint.get_or_insert_with(|| Fixpoint::new(schema, tgds, db_shapes));
+            let fixpoint =
+                fixpoint.get_or_insert_with(|| Fixpoint::new(schema, tgds, db_shapes, first_batch));
             let done = fixpoint.run(limit);
             (
                 done,
@@ -163,6 +186,7 @@ fn check_l_probed(
                 finite: special.is_empty(),
                 timings: LTimings::from_phases(&phases),
                 n_db_shapes: db_shapes.len(),
+                db_shapes_admitted: fixpoint.db_shapes_admitted(),
                 shapes_derived: fixpoint.shapes_derived(),
                 n_simplified_tgds: fixpoint.tgds().len(),
                 graph_nodes: graph.num_nodes(),
@@ -193,11 +217,6 @@ pub fn is_chase_finite_l_text(
     let mut report = is_chase_finite_l(&schema, &tgds, src, mode);
     report.timings.t_parse = phases.duration("parse");
     Ok((report, schema, tgds))
-}
-
-/// Shapes report for callers that want both the shapes and the check.
-pub fn find_db_shapes(src: &dyn TupleSource, mode: FindShapesMode) -> ShapesReport {
-    find_shapes(src, mode)
 }
 
 #[cfg(test)]

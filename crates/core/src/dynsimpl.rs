@@ -24,11 +24,14 @@
 //!
 //! The loop can pause between frontier shapes (`Fixpoint`), which is how
 //! Algorithm 3's verdict path looks for a special cycle in the partial
-//! simplification before the fixpoint is reached.
+//! simplification before the fixpoint is reached. It can also admit the
+//! database's shapes lazily, a batch at a time whenever the frontier runs
+//! out: DynSimplification is monotone in `shape(D)`, so what it derives
+//! from some of the shapes is part of what it derives from all of them.
 
 use soct_model::fxhash::FxBuildHasher;
 use soct_model::simplify::{h_specialization, simplify_tgd, ShapeInterner};
-use soct_model::{FxHashMap, PredId, Rgs, Schema, Shape, Tgd};
+use soct_model::{FxHashMap, PredId, Schema, Shape, Tgd};
 use std::hash::BuildHasher;
 
 /// The output of dynamic simplification.
@@ -63,7 +66,7 @@ pub fn dyn_simplification(
     tgds: &[Tgd],
     db_shapes: &[Shape],
 ) -> DynSimplification {
-    let mut fixpoint = Fixpoint::new(base_schema, tgds, db_shapes);
+    let mut fixpoint = Fixpoint::new(base_schema, tgds, db_shapes, usize::MAX);
     fixpoint.run(usize::MAX);
     fixpoint.finish()
 }
@@ -74,11 +77,23 @@ pub fn dyn_simplification(
 /// is the order the rounds of Algorithm 2 visit them in: round *k*'s ΔS is
 /// the id range interned during round *k − 1*. [`Fixpoint::run`] returns
 /// early once the simplified set reaches a size, so a caller can look at
-/// the partial `simple_D(Σ)` and decide whether to go on; every prefix it
-/// sees is a prefix of the full run's output, in the same order.
+/// the partial `simple_D(Σ)` and decide whether to go on. When every
+/// database shape is admitted before the first step, every prefix it sees
+/// is a prefix of the full run's output, in the same order.
+///
+/// Database shapes are admitted in batches that double in size, the next
+/// batch whenever the frontier is exhausted. Each admitted shape is in
+/// `shape(D)` and each derived one in its closure, so the partial
+/// simplification is always part of `simple_D(Σ)`; the fixpoint is reached
+/// only once every database shape has been admitted.
 pub(crate) struct Fixpoint<'a> {
     base_schema: &'a Schema,
     tgds: &'a [Tgd],
+    /// `shape(D)`: the first `admitted` have been interned.
+    db_shapes: &'a [Shape],
+    admitted: usize,
+    /// Size of the next admission batch.
+    batch: usize,
     /// §5.4: the TGDs indexed by their body predicate.
     by_body_pred: FxHashMap<PredId, Vec<u32>>,
     interner: ShapeInterner,
@@ -97,11 +112,19 @@ pub(crate) struct Fixpoint<'a> {
 }
 
 impl<'a> Fixpoint<'a> {
-    /// S ← FindShapes(D); ΔS ← S. The interner's dense id sequence is the
-    /// seen-set: interning database shapes up front also makes simple(D)'s
+    /// S ← FindShapes(D); ΔS ← S, admitting `first_batch` database shapes
+    /// at the first step (`usize::MAX`: all of them) and twice as many at
+    /// each later admission. The interner's dense id sequence is the
+    /// seen-set: interning database shapes also makes simple(D)'s
     /// predicates part of the derived schema even when no TGD fires on
     /// them.
-    pub(crate) fn new(base_schema: &'a Schema, tgds: &'a [Tgd], db_shapes: &[Shape]) -> Self {
+    pub(crate) fn new(
+        base_schema: &'a Schema,
+        tgds: &'a [Tgd],
+        db_shapes: &'a [Shape],
+        first_batch: usize,
+    ) -> Self {
+        debug_assert!(first_batch > 0);
         debug_assert!(tgds.iter().all(Tgd::is_linear));
         let mut by_body_pred: FxHashMap<PredId, Vec<u32>> = FxHashMap::default();
         for (i, t) in tgds.iter().enumerate() {
@@ -110,15 +133,14 @@ impl<'a> Fixpoint<'a> {
                 .or_default()
                 .push(i as u32);
         }
-        let mut interner = ShapeInterner::new();
-        for s in db_shapes {
-            interner.intern(s.clone(), base_schema);
-        }
         Fixpoint {
             base_schema,
             tgds,
+            db_shapes,
+            admitted: 0,
+            batch: first_batch,
             by_body_pred,
-            interner,
+            interner: ShapeInterner::new(),
             out_tgds: Vec::new(),
             out_seen: FxHashMap::default(),
             next: 0,
@@ -129,10 +151,14 @@ impl<'a> Fixpoint<'a> {
 
     /// Processes frontier shapes until the fixpoint (returns `true`) or
     /// until the simplified set holds at least `limit` TGDs (returns
-    /// `false`; the shape being processed is finished first).
+    /// `false`; the shape being processed is finished first). An exhausted
+    /// frontier admits the next batch of database shapes.
     pub(crate) fn run(&mut self, limit: usize) -> bool {
         let hasher = FxBuildHasher::default();
-        while self.next < self.interner.len() {
+        loop {
+            if self.next == self.interner.len() && !self.admit() {
+                return true;
+            }
             if self.next == self.round_end {
                 // ΔS ← S_aux \ S; S ← S ∪ ΔS: the shapes interned during
                 // the previous round are this round's frontier.
@@ -167,11 +193,35 @@ impl<'a> Fixpoint<'a> {
                     self.out_tgds.push(simplified);
                 }
             }
-            if self.out_tgds.len() >= limit && self.next < self.interner.len() {
+            if self.out_tgds.len() >= limit && !self.exhausted() {
                 return false;
             }
         }
-        true
+    }
+
+    /// Interns the next batches of database shapes, doubling the batch size
+    /// each time, until one of them adds a shape not derived yet: `false`
+    /// when the database runs out first. A batch whose shapes have all
+    /// been derived already adds nothing to process.
+    fn admit(&mut self) -> bool {
+        let before = self.interner.len();
+        while self.interner.len() == before && self.admitted < self.db_shapes.len() {
+            let end = self
+                .admitted
+                .saturating_add(self.batch)
+                .min(self.db_shapes.len());
+            for s in &self.db_shapes[self.admitted..end] {
+                self.interner.intern(s.clone(), self.base_schema);
+            }
+            self.admitted = end;
+            self.batch = self.batch.saturating_mul(2);
+        }
+        self.interner.len() > before
+    }
+
+    /// No shape is left to process and none to admit: the fixpoint.
+    fn exhausted(&self) -> bool {
+        self.next == self.interner.len() && self.admitted == self.db_shapes.len()
     }
 
     /// The simplified TGDs so far.
@@ -190,6 +240,12 @@ impl<'a> Fixpoint<'a> {
         self.interner.len()
     }
 
+    /// Database shapes admitted so far, including any that had already
+    /// been derived from earlier ones.
+    pub(crate) fn db_shapes_admitted(&self) -> usize {
+        self.admitted
+    }
+
     /// The simplification reached so far: all of `simple_D(Σ)` once `run`
     /// has returned `true`.
     pub(crate) fn finish(self) -> DynSimplification {
@@ -202,19 +258,11 @@ impl<'a> Fixpoint<'a> {
     }
 }
 
-/// Convenience: `shape(D)` from raw (pred, rgs) pairs.
-pub fn shapes_from_rgs(pairs: impl IntoIterator<Item = (soct_model::PredId, Rgs)>) -> Vec<Shape> {
-    pairs
-        .into_iter()
-        .map(|(pred, rgs)| Shape { pred, rgs })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use soct_model::simplify::static_simplification;
-    use soct_model::{Atom, Term, VarId};
+    use soct_model::{Atom, Rgs, Term, VarId};
 
     fn v(i: u32) -> Term {
         Term::Var(VarId(i))
@@ -358,7 +406,7 @@ mod tests {
         let whole = dyn_simplification(&schema, &tgds, &db);
         assert_eq!(whole.shapes_derived, 15, "Bell(4)");
         for step in [1, 2, 5] {
-            let mut fixpoint = Fixpoint::new(&schema, &tgds, &db);
+            let mut fixpoint = Fixpoint::new(&schema, &tgds, &db, usize::MAX);
             let mut limit = step;
             while !fixpoint.run(limit) {
                 let n = fixpoint.tgds().len();
@@ -371,6 +419,62 @@ mod tests {
             assert_eq!(stepped.shapes_derived, whole.shapes_derived);
             assert_eq!(stepped.iterations, whole.iterations);
         }
+    }
+
+    #[test]
+    fn lazy_admission_skips_batches_that_add_nothing() {
+        // r(x,y,z) → r(x,x,z) and r(x,y,z) → r(x,y,y): the first database
+        // shape derives the next two, so the second batch (two shapes)
+        // adds nothing new and the third one must still be admitted.
+        let mut schema = Schema::new();
+        let r = schema.add_predicate("r", 3).unwrap();
+        let p = schema.add_predicate("p", 1).unwrap();
+        let atom = |ts: &[u32]| Atom::new(&schema, r, ts.iter().map(|&i| v(i)).collect()).unwrap();
+        let tgds = vec![
+            Tgd::new(vec![atom(&[0, 1, 2])], vec![atom(&[0, 0, 2])]).unwrap(),
+            Tgd::new(vec![atom(&[0, 1, 2])], vec![atom(&[0, 1, 1])]).unwrap(),
+        ];
+        let db = [
+            id_shape(r, &[1, 2, 3]),
+            id_shape(r, &[1, 1, 2]),
+            id_shape(r, &[1, 2, 2]),
+            id_shape(p, &[1]),
+        ];
+        let whole = dyn_simplification(&schema, &tgds, &db);
+        let mut lazy = Fixpoint::new(&schema, &tgds, &db, 1);
+        assert!(lazy.run(usize::MAX));
+        assert_eq!(lazy.db_shapes_admitted(), db.len());
+        let lazy = lazy.finish();
+        assert_eq!(lazy.shapes_derived, whole.shapes_derived);
+        assert_eq!(lazy.tgds.len(), whole.tgds.len());
+        // Every database shape ends up in the closure.
+        for s in &db {
+            assert!(lazy.interner.get(s).is_some(), "{s:?}");
+        }
+    }
+
+    #[test]
+    fn lazy_admission_pauses_before_the_database_is_exhausted() {
+        // r(x,y) → r(y,x) derives no new shape: after the first database
+        // shape the frontier is empty, but with the limit reached and a
+        // shape still to admit, `run` pauses instead of reporting the
+        // fixpoint.
+        let mut schema = Schema::new();
+        let r = schema.add_predicate("r", 2).unwrap();
+        let tgds = vec![Tgd::new(
+            vec![Atom::new(&schema, r, vec![v(0), v(1)]).unwrap()],
+            vec![Atom::new(&schema, r, vec![v(1), v(0)]).unwrap()],
+        )
+        .unwrap()];
+        let db = [id_shape(r, &[1, 2]), id_shape(r, &[1, 1])];
+        let mut lazy = Fixpoint::new(&schema, &tgds, &db, 1);
+        assert!(!lazy.run(1));
+        assert_eq!((lazy.db_shapes_admitted(), lazy.shapes_derived()), (1, 1));
+        assert!(lazy.run(usize::MAX));
+        assert_eq!(lazy.db_shapes_admitted(), 2);
+        let whole = dyn_simplification(&schema, &tgds, &db);
+        assert_eq!(lazy.tgds().len(), whole.tgds.len());
+        assert_eq!(lazy.shapes_derived(), whole.shapes_derived);
     }
 
     #[test]

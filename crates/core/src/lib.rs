@@ -31,8 +31,7 @@ pub use check_l::{
     is_chase_finite_l_text, LCheckReport,
 };
 pub use check_sl::{
-    derivable_predicates, is_chase_finite_sl, is_chase_finite_sl_source, is_chase_finite_sl_text,
-    SlCheckReport,
+    derivable_predicates, is_chase_finite_sl, is_chase_finite_sl_text, SlCheckReport,
 };
 pub use dynsimpl::{dyn_simplification, DynSimplification};
 pub use find_shapes::{
@@ -41,6 +40,6 @@ pub use find_shapes::{
 };
 pub use oracle::{
     check_termination, check_termination_engine, check_termination_threads, materialization_check,
-    CheckRun, TerminationReport, Verdict,
+    CheckRun, DbView, TerminationReport, Verdict,
 };
 pub use timings::{ms, CacheTimings, LTimings, SlTimings};

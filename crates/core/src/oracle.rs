@@ -9,7 +9,7 @@ use crate::find_shapes::{FindShapesMode, ShapesReport};
 use soct_chase::{is_chase_finite_materialization, MaterializationReport};
 use soct_model::shape::shapes_of_instance;
 use soct_model::simplify::simplify_instance;
-use soct_model::{FxHashSet, Instance, PredId, Schema, Tgd, TgdClass};
+use soct_model::{FxHashSet, Instance, PredId, Schema, Shape, Tgd, TgdClass};
 use soct_obs::Phases;
 use soct_storage::{InstanceSource, ShapeCatalog, ShapeQueryStats, StorageEngine, TupleSource};
 use std::time::Duration;
@@ -176,16 +176,43 @@ pub fn check_termination_engine(
 /// non-empty predicates for Algorithm 1 and the D-weak-acyclicity test,
 /// `shape(D)` for Algorithm 3 (§4, §5). It is owned, so a caller can copy
 /// it from under a lock and check it after releasing it.
+///
+/// Every `check_termination*` function reads its database into a view and
+/// calls [`DbView::check`]. A caller that already has `shape(D)`, such as
+/// `soct check` reading a facts file with `soct_parser::read_shapes`,
+/// builds the view with [`DbView::of_shapes`].
 #[derive(Debug)]
-pub(crate) enum DbView {
+pub enum DbView {
+    /// The non-empty predicates, for Algorithm 1.
     SimpleLinear(FxHashSet<PredId>),
-    /// `shape(D)` with FindShapes' counters, and the time it took to find
-    /// or copy (the `shapes` phase).
+    /// `shape(D)` with FindShapes' counters, and the time it took to find,
+    /// read or copy it (the `shapes` phase).
     Linear(ShapesReport, Duration),
+    /// The non-empty predicates, for the D-weak-acyclicity test.
     General(FxHashSet<PredId>),
 }
 
 impl DbView {
+    /// The view a `class` ruleset reads of a database whose distinct
+    /// shapes are `shapes`, found in `t_shapes`: `shape(D)` itself for a
+    /// linear set, and the shapes' predicates, the non-empty ones, for the
+    /// others.
+    pub fn of_shapes(class: TgdClass, shapes: Vec<Shape>, t_shapes: Duration) -> Self {
+        let preds = || shapes.iter().map(|s| s.pred).collect();
+        match class {
+            TgdClass::SimpleLinear => DbView::SimpleLinear(preds()),
+            TgdClass::Linear => DbView::Linear(
+                ShapesReport {
+                    shapes,
+                    stats: ShapeQueryStats::default(),
+                    tuples_scanned: 0,
+                },
+                t_shapes,
+            ),
+            TgdClass::General => DbView::General(preds()),
+        }
+    }
+
     /// Copies the view a `class` ruleset reads out of `engine`: `shape(D)`
     /// from the maintained catalog when the engine tracks shapes.
     pub(crate) fn of_engine(
@@ -229,7 +256,11 @@ impl DbView {
 
     /// Decides termination of `tgds` on the database the view was read
     /// from: the one dispatch behind every `check_termination*` function.
-    pub(crate) fn check(&self, schema: &Schema, tgds: &[Tgd]) -> TerminationReport {
+    /// `schema` holds the rules' and the database's predicates, and the
+    /// view must be of `tgds`' class. A linear set takes Algorithm 3's
+    /// early exit ([`crate::check_l_early_exit`]), which admits the view's
+    /// shapes lazily, in their order.
+    pub fn check(&self, schema: &Schema, tgds: &[Tgd]) -> TerminationReport {
         let decided = |finite: bool| {
             if finite {
                 Verdict::Finite

@@ -44,6 +44,7 @@ impl Token<'_> {
 
 /// Streaming lexer over a source string.
 pub struct Lexer<'a> {
+    text: &'a str,
     src: &'a [u8],
     pos: usize,
     line: u32,
@@ -54,6 +55,7 @@ impl<'a> Lexer<'a> {
     /// Creates a lexer over `src`.
     pub fn new(src: &'a str) -> Self {
         Lexer {
+            text: src,
             src: src.as_bytes(),
             pos: 0,
             line: 1,
@@ -153,11 +155,9 @@ impl<'a> Lexer<'a> {
                     return Err(self.error(ParseErrorKind::UnterminatedQuote));
                 }
                 self.pos = end + 1;
-                // Safety of from_utf8: we sliced between ASCII quote bytes of
-                // a valid UTF-8 string, so the slice is valid UTF-8.
-                Ok(Token::Quoted(
-                    std::str::from_utf8(&self.src[start..end]).expect("input was valid UTF-8"),
-                ))
+                // Both ends sit next to an ASCII quote byte, so they are
+                // char boundaries of the text.
+                Ok(Token::Quoted(&self.text[start..end]))
             }
             c if is_ident_start(c) => {
                 let start = self.pos;
@@ -166,9 +166,9 @@ impl<'a> Lexer<'a> {
                     end += 1;
                 }
                 self.pos = end;
-                Ok(Token::Ident(
-                    std::str::from_utf8(&self.src[start..end]).expect("input was valid UTF-8"),
-                ))
+                // Identifier bytes are ASCII, so both ends are char
+                // boundaries of the text.
+                Ok(Token::Ident(&self.text[start..end]))
             }
             other => Err(self.error(ParseErrorKind::UnexpectedChar(other as char))),
         }

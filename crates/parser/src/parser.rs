@@ -20,7 +20,10 @@
 
 use crate::error::{ParseError, ParseErrorKind};
 use crate::lexer::{is_variable_name, Lexer, Token};
-use soct_model::{Atom, ConstId, Database, FxHashMap, Interner, Schema, Term, Tgd, VarId};
+use soct_model::{
+    Atom, ConstId, Database, FxHashMap, FxHashSet, Interner, ModelError, PredId, Rgs, Schema,
+    Shape, Term, Tgd, VarId,
+};
 
 /// A parsed program: rules plus a database of facts, over a shared schema
 /// and constant interner.
@@ -56,21 +59,11 @@ pub fn parse_into(
     tgds: &mut Vec<Tgd>,
     database: &mut Database,
 ) -> Result<(), ParseError> {
-    let mut parser = Parser {
-        lexer: Lexer::new(text),
-        lookahead: None,
-        schema,
-        consts,
-    };
-    loop {
-        if parser.peek()? == Token::Eof {
-            return Ok(());
-        }
-        parser.statement(tgds, database)?;
-    }
+    parse_accepting(text, schema, consts, tgds, database, Accept::Both)
 }
 
-/// Parses a set of TGDs only; facts are rejected.
+/// Parses a set of TGDs only; the first fact stops the parse with an
+/// error at that fact's `.`.
 pub fn parse_tgds(
     text: &str,
     schema: &mut Schema,
@@ -78,21 +71,12 @@ pub fn parse_tgds(
 ) -> Result<Vec<Tgd>, ParseError> {
     let mut tgds = Vec::new();
     let mut db = Database::new();
-    parse_into(text, schema, consts, &mut tgds, &mut db)?;
-    if !db.is_empty() {
-        return Err(ParseError::new(
-            0,
-            0,
-            ParseErrorKind::Expected {
-                expected: "rules only",
-                found: "a fact".to_string(),
-            },
-        ));
-    }
+    parse_accepting(text, schema, consts, &mut tgds, &mut db, Accept::Rules)?;
     Ok(tgds)
 }
 
-/// Parses a database of facts only; rules are rejected.
+/// Parses a database of facts only; the first rule stops the parse with an
+/// error at that rule's `->` or `:-`.
 pub fn parse_facts(
     text: &str,
     schema: &mut Schema,
@@ -100,39 +84,168 @@ pub fn parse_facts(
 ) -> Result<Database, ParseError> {
     let mut tgds = Vec::new();
     let mut db = Database::new();
-    parse_into(text, schema, consts, &mut tgds, &mut db)?;
-    if !tgds.is_empty() {
-        return Err(ParseError::new(
-            0,
-            0,
-            ParseErrorKind::Expected {
-                expected: "facts only",
-                found: "a rule".to_string(),
-            },
-        ));
-    }
+    parse_accepting(text, schema, consts, &mut tgds, &mut db, Accept::Facts)?;
     Ok(db)
 }
 
-struct Parser<'a, 'v> {
+/// What a facts file holds for a termination check: its distinct shapes
+/// (`shape(D)`, §3) and how many facts it states. The non-empty
+/// predicates, all that Algorithm 1 reads, are the shapes' predicates.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct FactShapes {
+    /// The distinct shapes, in the order their first fact was read.
+    pub shapes: Vec<Shape>,
+    /// Fact atoms read, duplicates counted (`r(a), s(b).` states two).
+    pub facts: usize,
+}
+
+/// Reads a facts file as shapes only: one pass that validates exactly as
+/// [`parse_facts`] does — the same grammar, the same error at the same
+/// position for every input, and the same predicates added to `schema` in
+/// the same order — but interns no constant and builds no [`Database`].
+///
+/// A fact's shape depends only on which of its own terms are equal, so it
+/// is computed from the borrowed term text, with no allocation per fact
+/// (past the first few). A quoted and a bare spelling of one constant
+/// (`'a'` and `a`) have the same text, and so compare equal, as interning
+/// makes them. The whole text is always read: a malformed fact anywhere
+/// fails the read, whatever a check would have needed of it.
+pub fn read_shapes(text: &str, schema: &mut Schema) -> Result<FactShapes, ParseError> {
+    let mut parser = Parser::new(text, schema, Accept::Facts);
+    let mut seen: FxHashSet<Shape> = FxHashSet::default();
+    let mut out = FactShapes::default();
+    while parser.statement()?.is_some() {
+        for (pred, terms) in parser.statement_atoms() {
+            let shape = Shape {
+                pred,
+                rgs: Rgs::of(terms),
+            };
+            out.facts += 1;
+            if !seen.contains(&shape) {
+                seen.insert(shape.clone());
+                out.shapes.push(shape);
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// Which statements a parse accepts. A statement of the other kind stops
+/// it at the token that decides the kind: a fact's `.`, a rule's `->` or
+/// `:-`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Accept {
+    Both,
+    Rules,
+    Facts,
+}
+
+/// [`parse_into`] accepting only `accept`'s statements.
+fn parse_accepting(
+    text: &str,
+    schema: &mut Schema,
+    consts: &mut Interner,
+    tgds: &mut Vec<Tgd>,
+    db: &mut Database,
+    accept: Accept,
+) -> Result<(), ParseError> {
+    let mut parser = Parser::new(text, schema, accept);
+    // Variables are scoped per statement: name → dense id, numbered in
+    // order of first occurrence in the text.
+    let mut vars: FxHashMap<&str, u32> = FxHashMap::default();
+    while let Some(statement) = parser.statement()? {
+        vars.clear();
+        let mut atoms: Vec<Atom> = parser
+            .statement_atoms()
+            .map(|(pred, terms)| {
+                let terms = terms
+                    .iter()
+                    .map(|t| match *t {
+                        RawTerm::Var(name) => {
+                            let next = vars.len() as u32;
+                            Term::Var(VarId(*vars.entry(name).or_insert(next)))
+                        }
+                        RawTerm::Const(name) => {
+                            Term::Const(ConstId::from_symbol(consts.intern(name)))
+                        }
+                    })
+                    .collect();
+                Atom::new_unchecked(pred, terms)
+            })
+            .collect();
+        match statement {
+            Statement::Facts => {
+                for atom in atoms {
+                    db.insert(atom);
+                }
+            }
+            Statement::Rule { first, head_first } => {
+                let second = atoms.split_off(first);
+                let (body, head) = if head_first {
+                    (second, atoms)
+                } else {
+                    (atoms, second)
+                };
+                tgds.push(Tgd::new(body, head).map_err(|e| parser.model_err(e))?);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// One term as written: a variable's name, or a constant's text with any
+/// quotes stripped.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum RawTerm<'a> {
+    Var(&'a str),
+    Const(&'a str),
+}
+
+/// What [`Parser::statement`] read; the atoms are in the parser's buffers.
+#[derive(Clone, Copy)]
+enum Statement {
+    /// A conjunction of facts, all of them ground.
+    Facts,
+    /// A rule whose first conjunction holds the first `first` atoms; it is
+    /// the head when the rule was written `head :- body`.
+    Rule { first: usize, head_first: bool },
+}
+
+struct Parser<'a, 's> {
     lexer: Lexer<'a>,
     lookahead: Option<Token<'a>>,
-    schema: &'v mut Schema,
-    consts: &'v mut Interner,
+    schema: &'s mut Schema,
+    accept: Accept,
+    /// The current statement's atoms, in text order: the predicate and the
+    /// end of the atom's terms in `terms`. Both buffers are reused from
+    /// statement to statement.
+    atoms: Vec<(PredId, u32)>,
+    terms: Vec<RawTerm<'a>>,
 }
 
-/// A pre-validation atom: terms may still be raw variable names.
-struct RawAtom {
-    pred: soct_model::PredId,
-    terms: Vec<RawTerm>,
-}
+impl<'a, 's> Parser<'a, 's> {
+    fn new(text: &'a str, schema: &'s mut Schema, accept: Accept) -> Self {
+        Parser {
+            lexer: Lexer::new(text),
+            lookahead: None,
+            schema,
+            accept,
+            atoms: Vec::new(),
+            terms: Vec::new(),
+        }
+    }
 
-enum RawTerm {
-    Var(u32),
-    Const(ConstId),
-}
+    /// The atoms [`Parser::statement`] read last, in text order: each
+    /// predicate with its terms.
+    fn statement_atoms(&self) -> impl Iterator<Item = (PredId, &[RawTerm<'a>])> {
+        let mut start = 0;
+        self.atoms.iter().map(move |&(pred, end)| {
+            let terms = &self.terms[start..end as usize];
+            start = end as usize;
+            (pred, terms)
+        })
+    }
 
-impl<'a> Parser<'a, '_> {
     fn peek(&mut self) -> Result<Token<'a>, ParseError> {
         if self.lookahead.is_none() {
             self.lookahead = Some(self.lexer.next_token()?);
@@ -147,15 +260,16 @@ impl<'a> Parser<'a, '_> {
         }
     }
 
-    fn error(&self, expected: &'static str, found: Token<'_>) -> ParseError {
+    fn error(&self, expected: &'static str, found: String) -> ParseError {
         ParseError::new(
             self.lexer.line(),
             self.lexer.column(),
-            ParseErrorKind::Expected {
-                expected,
-                found: found.describe(),
-            },
+            ParseErrorKind::Expected { expected, found },
         )
+    }
+
+    fn unexpected(&self, expected: &'static str, found: Token<'_>) -> ParseError {
+        self.error(expected, found.describe())
     }
 
     fn expect(&mut self, want: Token<'static>, what: &'static str) -> Result<(), ParseError> {
@@ -163,11 +277,11 @@ impl<'a> Parser<'a, '_> {
         if got == want {
             Ok(())
         } else {
-            Err(self.error(what, got))
+            Err(self.unexpected(what, got))
         }
     }
 
-    fn model_err(&self, e: soct_model::ModelError) -> ParseError {
+    fn model_err(&self, e: ModelError) -> ParseError {
         ParseError::new(
             self.lexer.line(),
             self.lexer.column(),
@@ -175,111 +289,76 @@ impl<'a> Parser<'a, '_> {
         )
     }
 
-    /// Parses one statement (rule or fact) into the output collections.
-    fn statement(&mut self, tgds: &mut Vec<Tgd>, db: &mut Database) -> Result<(), ParseError> {
-        // Variables are scoped per statement: name → dense id.
-        let mut vars: FxHashMap<&'a str, u32> = FxHashMap::default();
-        let first = self.conjunction(&mut vars)?;
+    /// Reads the next statement (rule or fact) into `atoms` and `terms`;
+    /// `None` at the end of the input.
+    fn statement(&mut self) -> Result<Option<Statement>, ParseError> {
+        if self.peek()? == Token::Eof {
+            return Ok(None);
+        }
+        self.atoms.clear();
+        self.terms.clear();
+        self.conjunction()?;
+        let first = self.atoms.len();
         match self.advance()? {
             Token::Period => {
-                // A conjunction of facts.
-                for atom in first {
-                    db.insert(self.ground(atom)?);
+                if self.accept == Accept::Rules {
+                    return Err(self.error("rules only", "a fact".to_string()));
                 }
-                Ok(())
+                if self.terms.iter().any(|t| matches!(t, RawTerm::Var(_))) {
+                    return Err(self.model_err(ModelError::VariableInFact));
+                }
+                Ok(Some(Statement::Facts))
             }
-            Token::Arrow => {
-                let head = self.conjunction(&mut vars)?;
+            arrow @ (Token::Arrow | Token::ColonDash) => {
+                if self.accept == Accept::Facts {
+                    return Err(self.error("facts only", "a rule".to_string()));
+                }
+                self.conjunction()?;
                 self.expect(Token::Period, "`.`")?;
-                tgds.push(self.rule(first, head)?);
-                Ok(())
+                Ok(Some(Statement::Rule {
+                    first,
+                    head_first: arrow == Token::ColonDash,
+                }))
             }
-            Token::ColonDash => {
-                let body = self.conjunction(&mut vars)?;
-                self.expect(Token::Period, "`.`")?;
-                tgds.push(self.rule(body, first)?);
-                Ok(())
-            }
-            other => Err(self.error("`.`, `->` or `:-`", other)),
+            other => Err(self.unexpected("`.`, `->` or `:-`", other)),
         }
     }
 
-    fn rule(&self, body: Vec<RawAtom>, head: Vec<RawAtom>) -> Result<Tgd, ParseError> {
-        let lift = |atoms: Vec<RawAtom>| -> Vec<Atom> {
-            atoms
-                .into_iter()
-                .map(|a| {
-                    Atom::new_unchecked(
-                        a.pred,
-                        a.terms
-                            .into_iter()
-                            .map(|t| match t {
-                                RawTerm::Var(v) => Term::Var(VarId(v)),
-                                RawTerm::Const(c) => Term::Const(c),
-                            })
-                            .collect(),
-                    )
-                })
-                .collect()
-        };
-        Tgd::new(lift(body), lift(head)).map_err(|e| self.model_err(e))
-    }
-
-    fn ground(&self, atom: RawAtom) -> Result<Atom, ParseError> {
-        let mut terms = Vec::with_capacity(atom.terms.len());
-        for t in atom.terms {
-            match t {
-                RawTerm::Const(c) => terms.push(Term::Const(c)),
-                RawTerm::Var(_) => {
-                    return Err(self.model_err(soct_model::ModelError::VariableInFact))
-                }
-            }
-        }
-        Ok(Atom::new_unchecked(atom.pred, terms))
-    }
-
-    fn conjunction(
-        &mut self,
-        vars: &mut FxHashMap<&'a str, u32>,
-    ) -> Result<Vec<RawAtom>, ParseError> {
-        let mut atoms = vec![self.atom(vars)?];
+    fn conjunction(&mut self) -> Result<(), ParseError> {
+        self.atom()?;
         while self.peek()? == Token::Comma {
             self.advance()?;
-            atoms.push(self.atom(vars)?);
+            self.atom()?;
         }
-        Ok(atoms)
+        Ok(())
     }
 
-    fn atom(&mut self, vars: &mut FxHashMap<&'a str, u32>) -> Result<RawAtom, ParseError> {
+    fn atom(&mut self) -> Result<(), ParseError> {
         let name = match self.advance()? {
             Token::Ident(s) => s,
-            other => return Err(self.error("a predicate name", other)),
+            other => return Err(self.unexpected("a predicate name", other)),
         };
         self.expect(Token::LParen, "`(`")?;
-        let mut terms = Vec::new();
+        let start = self.terms.len();
         loop {
-            let t = self.advance()?;
-            let term = match t {
-                Token::Ident(s) if is_variable_name(s) => {
-                    let next = vars.len() as u32;
-                    RawTerm::Var(*vars.entry(s).or_insert(next))
-                }
-                Token::Ident(s) => RawTerm::Const(ConstId::from_symbol(self.consts.intern(s))),
-                Token::Quoted(s) => RawTerm::Const(ConstId::from_symbol(self.consts.intern(s))),
-                other => return Err(self.error("a term", other)),
+            let term = match self.advance()? {
+                Token::Ident(s) if is_variable_name(s) => RawTerm::Var(s),
+                Token::Ident(s) | Token::Quoted(s) => RawTerm::Const(s),
+                other => return Err(self.unexpected("a term", other)),
             };
-            terms.push(term);
+            self.terms.push(term);
             match self.advance()? {
                 Token::Comma => continue,
                 Token::RParen => break,
-                other => return Err(self.error("`,` or `)`", other)),
+                other => return Err(self.unexpected("`,` or `)`", other)),
             }
         }
         let pred = self
             .schema
-            .add_predicate(name, terms.len())
+            .add_predicate(name, self.terms.len() - start)
             .map_err(|e| self.model_err(e))?;
-        Ok(RawAtom { pred, terms })
+        self.atoms.push((pred, self.terms.len() as u32));
+        Ok(())
     }
 }
 
@@ -371,6 +450,77 @@ mod tests {
             parse_facts("r(a). r(b).", &mut s3, &mut c3).unwrap().len(),
             2
         );
+    }
+
+    #[test]
+    fn a_rule_in_a_facts_file_is_reported_at_its_arrow() {
+        // The parse stops there: the malformed last line is never reached.
+        let text = "r(a, b).\nr(b, c).\nr(X, Y) -> r(Y, Z).\nr(a,";
+        let err = parse_facts(text, &mut Schema::new(), &mut Interner::new()).unwrap_err();
+        assert_eq!(err.to_string(), "3:11: expected facts only, found `a rule`");
+        let datalog = parse_facts(
+            "r(a).\n  s(X) :- r(X).",
+            &mut Schema::new(),
+            &mut Interner::new(),
+        );
+        assert_eq!(
+            datalog.unwrap_err().to_string(),
+            "2:10: expected facts only, found `a rule`"
+        );
+        let shapes = read_shapes(text, &mut Schema::new()).unwrap_err();
+        assert_eq!(shapes, err);
+    }
+
+    #[test]
+    fn a_fact_in_a_rules_file_is_reported_at_its_period() {
+        let text = "r(X, Y) -> s(Y).\n  % a comment\n  s(a).\ns(X) -> ";
+        let err = parse_tgds(text, &mut Schema::new(), &mut Interner::new()).unwrap_err();
+        assert_eq!(err.to_string(), "3:8: expected rules only, found `a fact`");
+        // A variable does not make a fact a rule.
+        let err = parse_tgds("r(X).", &mut Schema::new(), &mut Interner::new()).unwrap_err();
+        assert_eq!(err.to_string(), "1:6: expected rules only, found `a fact`");
+    }
+
+    #[test]
+    fn read_shapes_keeps_first_read_order_and_counts_duplicates() {
+        let mut schema = Schema::new();
+        let r = schema.add_predicate("r", 3).unwrap();
+        let text = "% shapes\nr(a, 'a', b).\nr(c, c, d), s(x).\nr(a, b, c).\nr(\"e\", e, f).\n";
+        let read = read_shapes(text, &mut schema).unwrap();
+        assert_eq!(read.facts, 5);
+        let s = schema.pred_by_name("s").unwrap();
+        assert_eq!(
+            read.shapes,
+            vec![
+                Shape {
+                    pred: r,
+                    rgs: Rgs::canonicalize(&[1, 1, 2])
+                },
+                Shape {
+                    pred: s,
+                    rgs: Rgs::identity(1)
+                },
+                Shape {
+                    pred: r,
+                    rgs: Rgs::identity(3)
+                },
+            ]
+        );
+    }
+
+    #[test]
+    fn read_shapes_rejects_what_parse_facts_rejects() {
+        for text in [
+            "r(a, b).\nr(a).",
+            "r(a, X).",
+            "r(a) -> s(a).",
+            "r(a)\ns(b).",
+            "r(a). s('b",
+        ] {
+            let parsed = parse_facts(text, &mut Schema::new(), &mut Interner::new()).unwrap_err();
+            let read = read_shapes(text, &mut Schema::new()).unwrap_err();
+            assert_eq!(read, parsed, "{text:?}");
+        }
     }
 
     #[test]

@@ -3,7 +3,11 @@
 //! returns the same verdict as `check_l_with_shapes` on every input, the
 //! same closure sizes whenever the verdict is Finite, and stops at the
 //! first special cycle on the arity-stress set, whose full fixpoint
-//! derives Bell(n) shapes.
+//! derives Bell(n) shapes. The verdict path also admits the database's
+//! shapes lazily, in doubling batches, while `check_l_with_shapes` admits
+//! them all up front: the inputs below include every small shape of each
+//! corpus entry, in two orders, and a database shape that an earlier one
+//! derives.
 
 use proptest::prelude::*;
 use soct::core::{check_l_early_exit, check_l_with_shapes, dyn_simplification, CheckRun};
@@ -21,8 +25,15 @@ fn agree(schema: &Schema, tgds: &[Tgd], db_shapes: &[Shape], what: &str) -> bool
         "{what}: the full fixpoint never stops early"
     );
     assert_eq!(early.finite, full.finite, "{what}: verdict");
+    assert_eq!(full.db_shapes_admitted, db_shapes.len(), "{what}");
+    assert!(early.db_shapes_admitted <= db_shapes.len(), "{what}");
     if early.finite {
         assert!(!early.stopped_early, "{what}: only Infinite stops early");
+        assert_eq!(
+            early.db_shapes_admitted,
+            db_shapes.len(),
+            "{what}: Finite admits every database shape"
+        );
         assert_eq!(early.shapes_derived, full.shapes_derived, "{what}: shapes");
         assert_eq!(
             early.n_simplified_tgds, full.n_simplified_tgds,
@@ -150,6 +161,100 @@ fn corpus_linear_entries_agree_with_the_full_fixpoint() {
     assert!(linear >= 10, "{linear} linear corpus entries");
 }
 
+/// Every shape of arity at most 5 of each predicate of `schema`, the
+/// predicates in id order and each one's shapes in lexicographic order.
+fn small_shapes(schema: &Schema) -> Vec<Shape> {
+    schema
+        .predicates()
+        .filter(|&p| schema.arity(p) <= 5)
+        .flat_map(|pred| {
+            Rgs::all_of_len(schema.arity(pred))
+                .into_iter()
+                .map(move |rgs| Shape { pred, rgs })
+        })
+        .collect()
+}
+
+#[test]
+fn corpus_linear_entries_agree_on_every_small_shape() {
+    // Each database holds every shape of arity ≤ 5, so lazy admission
+    // meets shapes that earlier ones derive, in both orders.
+    let dir = soct::gen::repo_corpus_dir();
+    let entries = soct::gen::load_manifest(&dir).expect("checked-in corpus manifest");
+    let (mut linear, mut lazy_stops) = (0, 0);
+    for e in &entries {
+        let text = std::fs::read_to_string(dir.join(&e.file)).expect(&e.file);
+        let mut schema = Schema::new();
+        let mut consts = Interner::new();
+        let tgds = parse_tgds(&text, &mut schema, &mut consts).expect(&e.file);
+        if soct::model::tgd::classify(&tgds) != TgdClass::Linear {
+            continue;
+        }
+        linear += 1;
+        let mut shapes = small_shapes(&schema);
+        agree(&schema, &tgds, &shapes, &e.file);
+        shapes.reverse();
+        agree(&schema, &tgds, &shapes, &format!("{} reversed", e.file));
+        if check_l_early_exit(&schema, &tgds, &shapes).db_shapes_admitted < shapes.len() {
+            lazy_stops += 1;
+        }
+    }
+    assert!(linear >= 10, "{linear} linear corpus entries");
+    assert!(
+        lazy_stops >= 3,
+        "{lazy_stops} entries stopped before their last shape"
+    );
+}
+
+#[test]
+fn a_database_shape_that_an_earlier_one_derives_adds_nothing() {
+    // r(x,y) → r(x,x) derives the second database shape from the first,
+    // so the second admission (two shapes) brings only `p`'s shape. Both
+    // a Finite and an Infinite set read the same database.
+    let db_shapes = |schema: &Schema| -> Vec<Shape> {
+        let r = schema.pred_by_name("r").unwrap();
+        let p = schema.pred_by_name("p").unwrap();
+        vec![
+            Shape {
+                pred: r,
+                rgs: Rgs::identity(2),
+            },
+            Shape {
+                pred: r,
+                rgs: Rgs::canonicalize(&[1, 1]),
+            },
+            Shape {
+                pred: p,
+                rgs: Rgs::identity(1),
+            },
+        ]
+    };
+    for (rules, finite) in [
+        (
+            "r(X, Y) -> r(X, X).
+p(X) -> q(X, Y).
+",
+            true,
+        ),
+        (
+            "r(X, Y) -> r(X, X).
+p(X) -> p(X).
+r(X, X) -> r(Y, X).
+",
+            false,
+        ),
+    ] {
+        let mut p = Program::parse(rules).unwrap();
+        p.schema.add_predicate("p", 1).unwrap();
+        let shapes = db_shapes(&p.schema);
+        agree(&p.schema, &p.tgds, &shapes, rules);
+        let early = check_l_early_exit(&p.schema, &p.tgds, &shapes);
+        assert_eq!(early.finite, finite, "{rules}");
+        let full = check_l_with_shapes(&p.schema, &p.tgds, &shapes);
+        assert_eq!(full.finite, finite, "{rules}");
+    }
+}
+
 /// Existential probabilities of the random sets: none (every set Finite,
 /// probed on the way to its fixpoint), rare (both verdicts) and the
 /// paper's 10% (mostly Infinite, often stopping early).
@@ -223,5 +328,19 @@ proptest! {
         let full = check_l_with_shapes(&schema, &tgds, &shapes);
         let report = check_termination(&schema, &tgds, &db, FindShapesMode::InMemory);
         prop_assert_eq!(report.verdict == Verdict::Finite, full.finite, "seed {}", seed);
+    }
+
+    #[test]
+    fn lazy_admission_agrees_in_any_shape_order(seed in 0u64..1_000_000, p in 0usize..3) {
+        // The same sets with their database shapes in a random order, and
+        // with every small shape of the schema as the database.
+        let (schema, db, tgds) = random_linear(seed, EXISTENTIAL[p]);
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
+        for mut shapes in [shapes_of_instance(&db), small_shapes(&schema)] {
+            for i in (1..shapes.len()).rev() {
+                shapes.swap(i, rand::RngExt::random_range(&mut rng, 0..=i));
+            }
+            agree(&schema, &tgds, &shapes, &format!("seed {seed}, p {p}"));
+        }
     }
 }
